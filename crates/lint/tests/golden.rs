@@ -133,6 +133,21 @@ fn r6_drift_fires_and_clean_twin_passes() {
 }
 
 #[test]
+fn r6_lets_the_serve_benchmark_use_the_os_but_keeps_the_time_ban() {
+    // `servebench/` drives the daemon over sockets and names its scratch
+    // directory by pid, so `std::net`/`std::process` are its job; the
+    // ambient `SystemTime::now()` on line 14 stays banned there.
+    assert_eq!(
+        lint(
+            "r6_violate.rs",
+            "servebench/src/workload.rs",
+            &LintConfig::default()
+        ),
+        vec![(14, "R6".to_string())]
+    );
+}
+
+#[test]
 fn r7_obs_discipline_fires_and_clean_twin_passes() {
     let rel = "crates/serve/src/metrics.rs";
     assert_eq!(

@@ -1,9 +1,10 @@
-//! Tier-1: the live workspace carries zero invariant violations and zero
-//! stale suppressions.  This is the test the CI `--deny-all` step mirrors;
-//! a PR that breaks a contract fails here with the exact file:line:rule.
+//! Tier-1: the live workspace — the whole repository root — carries zero
+//! invariant violations and zero stale suppressions.  This is the test the
+//! CI `--deny-all` step mirrors; a PR that breaks a contract fails here
+//! with the exact file:line:rule.
 
 use std::path::Path;
-use wi_lint::{run_with_config, LintConfig};
+use wi_lint::{lint_files, load_workspace, LintConfig};
 
 #[test]
 fn workspace_has_no_violations_and_no_stale_pragmas() {
@@ -12,14 +13,19 @@ fn workspace_has_no_violations_and_no_stale_pragmas() {
         check_unused_allows: true,
         ..LintConfig::default()
     };
-    let report = run_with_config(&root, &cfg).expect("workspace readable");
+    let files = load_workspace(&root).expect("workspace readable");
     assert!(
-        report.files_scanned > 50,
+        files.len() > 50,
         "scan looks truncated: only {} files",
-        report.files_scanned
+        files.len()
     );
-    let rendered: Vec<String> = report
-        .diagnostics
+    // The repository root includes the standalone `servebench/` package:
+    // R6 allows its OS access, every other rule still reads it.
+    assert!(
+        files.iter().any(|f| f.rel.starts_with("servebench/src/")),
+        "the scan must cover servebench/src"
+    );
+    let rendered: Vec<String> = lint_files(&files, &cfg)
         .iter()
         .map(|d| format!("{}:{}:{} {}", d.file, d.line, d.rule, d.message))
         .collect();

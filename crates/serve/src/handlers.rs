@@ -129,6 +129,8 @@ fn debug_slow() -> Reply {
     Reply::Full(response)
 }
 
+/// `POST /admin/shutdown`: sets the drain flag; the connection loop that
+/// sees it flip wakes the acceptor.
 fn shutdown(state: &ServeState) -> Reply {
     state.shutdown.store(true, Ordering::SeqCst);
     json_reply(

@@ -278,32 +278,45 @@ impl Response {
     }
 }
 
-/// Writes a buffered response.
+/// Writes a buffered response: head and body are rendered into one buffer
+/// and handed to the writer in a single `write_all`, so a `nodelay` socket
+/// sends the reply as one segment instead of one per header piece.
 pub fn write_response(w: &mut impl Write, response: &Response) -> std::io::Result<()> {
+    let mut out = Vec::with_capacity(HEAD_CAPACITY + response.body.len());
     write!(
-        w,
+        out,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         response.status,
         reason(response.status),
         response.content_type,
         response.body.len(),
-        if response.close {
-            "close"
-        } else {
-            "keep-alive"
-        },
+        connection(response.close),
     )?;
-    w.write_all(&response.body)?;
+    out.extend_from_slice(&response.body);
+    w.write_all(&out)?;
     w.flush()
+}
+
+/// Room reserved for a response head, so rendering it rarely reallocates.
+const HEAD_CAPACITY: usize = 128;
+
+fn connection(close: bool) -> &'static str {
+    if close {
+        "close"
+    } else {
+        "keep-alive"
+    }
 }
 
 /// A streaming chunked-transfer response: the head is written up front,
 /// each [`chunk`](ChunkedWriter::chunk) flushes one HTTP chunk, and
 /// [`finish`](ChunkedWriter::finish) writes the terminating zero chunk.
-/// This is how `/extract/batch` streams large result sets without
-/// buffering them.
+/// Each of these is one `write_all` of a buffer the writer reuses.  This
+/// is how `/extract/batch` streams large result sets without buffering
+/// them.
 pub struct ChunkedWriter<'a, W: Write> {
     w: &'a mut W,
+    buf: Vec<u8>,
 }
 
 impl<'a, W: Write> ChunkedWriter<'a, W> {
@@ -314,15 +327,17 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
         content_type: &str,
         close: bool,
     ) -> std::io::Result<ChunkedWriter<'a, W>> {
+        let mut buf = Vec::with_capacity(HEAD_CAPACITY);
         write!(
-            w,
+            buf,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
             status,
             reason(status),
             content_type,
-            if close { "close" } else { "keep-alive" },
+            connection(close),
         )?;
-        Ok(ChunkedWriter { w })
+        w.write_all(&buf)?;
+        Ok(ChunkedWriter { w, buf })
     }
 
     /// Writes one chunk (empty input is skipped: an empty chunk would
@@ -331,9 +346,11 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
         if bytes.is_empty() {
             return Ok(());
         }
-        write!(self.w, "{:x}\r\n", bytes.len())?;
-        self.w.write_all(bytes)?;
-        self.w.write_all(b"\r\n")?;
+        self.buf.clear();
+        write!(self.buf, "{:x}\r\n", bytes.len())?;
+        self.buf.extend_from_slice(bytes);
+        self.buf.extend_from_slice(b"\r\n");
+        self.w.write_all(&self.buf)?;
         self.w.flush()
     }
 
@@ -391,16 +408,63 @@ mod tests {
         assert_eq!(req.target, "/metrics?verbose=1");
     }
 
+    /// A sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingSink {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_response_is_one_write_of_the_golden_bytes() {
+        let mut not_found = Response::text(404, "no route for /x");
+        not_found.close = true;
+        let cases: [(Response, &[u8]); 2] = [
+            (
+                Response::json(200, "{\"ok\":true}"),
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+                  Connection: keep-alive\r\n\r\n{\"ok\":true}",
+            ),
+            (
+                not_found,
+                b"HTTP/1.1 404 Not Found\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                  Content-Length: 15\r\nConnection: close\r\n\r\nno route for /x",
+            ),
+        ];
+        for (response, golden) in cases {
+            let mut sink = CountingSink::default();
+            write_response(&mut sink, &response).unwrap();
+            assert_eq!(sink.calls, 1);
+            assert_eq!(sink.bytes, golden);
+        }
+    }
+
     #[test]
     fn chunked_writer_emits_well_formed_chunks() {
-        let mut out = Vec::new();
-        let mut w = ChunkedWriter::start(&mut out, 200, "text/plain", false).unwrap();
-        w.chunk(b"hello ").unwrap();
+        let mut sink = CountingSink::default();
+        let mut w = ChunkedWriter::start(&mut sink, 200, "application/x-ndjson", false).unwrap();
+        w.chunk(b"{\"index\":0}\n").unwrap();
         w.chunk(b"").unwrap(); // skipped, not a terminator
-        w.chunk(b"world").unwrap();
+        w.chunk(b"{\"index\":1}\n").unwrap();
         w.finish().unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("Transfer-Encoding: chunked"));
-        assert!(text.ends_with("6\r\nhello \r\n5\r\nworld\r\n0\r\n\r\n"));
+        assert_eq!(sink.calls, 4, "head + 2 non-empty chunks + terminator");
+        assert_eq!(
+            sink.bytes,
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+              Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n\
+              c\r\n{\"index\":0}\n\r\nc\r\n{\"index\":1}\n\r\n0\r\n\r\n"
+        );
     }
 }

@@ -2,19 +2,27 @@
 //!
 //! # Threading contract
 //!
-//! One **acceptor** thread polls a non-blocking [`TcpListener`] and feeds
-//! accepted connections into an [`mpsc`] queue.  A **fixed pool** of
-//! worker threads drains the queue; each worker owns one resident
-//! [`EvalContext`] for its whole lifetime, so per-request extraction pays
-//! no context setup.  The registry sits behind one [`RwLock`]: extraction
-//! and site reads share it, induction and maintenance take it exclusively
-//! (appends must serialize per shard log anyway).
+//! One **acceptor** thread blocks in [`TcpListener::accept`] and feeds
+//! accepted connections into an [`mpsc`] queue, so a new connection is
+//! handed to a worker as soon as the kernel completes it — no polling
+//! interval sits on the request path.  A **fixed pool** of worker threads
+//! drains the queue; each worker owns one resident [`EvalContext`] for its
+//! whole lifetime, so per-request extraction pays no context setup.  The
+//! registry sits behind one [`RwLock`]: extraction and site reads share
+//! it, induction and maintenance take it exclusively (appends must
+//! serialize per shard log anyway).  Each reply leaves in one `write`
+//! call (see [`write_response`] and [`ChunkedWriter`]).
 //!
 //! # Shutdown contract
 //!
 //! `POST /admin/shutdown` (or [`ServerHandle::shutdown`]) sets an atomic
-//! flag.  The acceptor stops accepting and drops the queue sender; each
-//! worker finishes the requests already buffered on its current
+//! flag and then **wakes the acceptor** with one connection to the
+//! listener: [`ServerHandle::shutdown`] connects to the bound address, the
+//! worker that served `/admin/shutdown` connects to its connection's local
+//! address (an unspecified bind IP is mapped to loopback).  The acceptor
+//! re-checks the flag after every `accept`, drops the connection it just
+//! accepted once the flag is set, and exits — dropping the queue sender.
+//! Each worker finishes the requests already buffered on its current
 //! connection, answers them with `Connection: close`, then exits when the
 //! queue is empty.  [`ServerHandle::wait`] joins every thread, syncs the
 //! shard logs (the [`Durability::Batch`](wi_maintain::Durability) flush
@@ -22,7 +30,7 @@
 //! loses a committed revision.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread;
@@ -35,8 +43,11 @@ use crate::handlers::{handle, Reply};
 use crate::http::{parse_request, write_response, ChunkedWriter, Limits, Response};
 use crate::metrics::Metrics;
 
-/// How often the acceptor re-checks the shutdown flag while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Pause after a failed `accept` (e.g. EMFILE) before retrying, so a
+/// persistent error does not spin the acceptor.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
+/// Upper bound on the shutdown wake-up connect.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Per-read timeout on connections; also bounds how fast an idle worker
 /// notices the shutdown flag.
 const READ_TIMEOUT: Duration = Duration::from_millis(250);
@@ -101,7 +112,6 @@ impl Server {
     ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shards = registry.shard_count();
         let state = Arc::new(ServeState {
             registry: RwLock::new(registry),
@@ -159,9 +169,10 @@ impl ServerHandle {
     }
 
     /// Triggers the graceful shutdown (same effect as `POST
-    /// /admin/shutdown`).
+    /// /admin/shutdown`): sets the flag and wakes the acceptor.
     pub fn shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
+        wake_acceptor(self.addr);
     }
 
     /// Blocks until every thread drains (shutdown must have been
@@ -187,20 +198,47 @@ impl ServerHandle {
 
 fn accept_loop(state: &ServeState, listener: &TcpListener, tx: mpsc::Sender<TcpStream>) {
     loop {
+        let accepted = listener.accept();
+        // Whatever woke the acceptor once the flag is set — the shutdown
+        // wake-up or a late client — is dropped unserved.
         if state.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 if tx.send(stream).is_err() {
                     break;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            Err(e) => {
+                wi_obs::log(
+                    wi_obs::Level::Warn,
+                    "serve.accept_error",
+                    &[("error", e.to_string())],
+                );
+                thread::sleep(ACCEPT_ERROR_BACKOFF);
+            }
         }
     }
     // Dropping the sender is what lets idle workers exit their recv().
+}
+
+/// Unblocks an acceptor parked in `accept` by connecting to its listener
+/// once.  Errors are ignored: a refused connect means the acceptor (and
+/// its listener) is already gone.
+fn wake_acceptor(addr: SocketAddr) {
+    let _ = TcpStream::connect_timeout(&connectable(addr), WAKE_TIMEOUT);
+}
+
+/// `addr` with an unspecified IP (`0.0.0.0`, `::`) replaced by loopback,
+/// so a daemon bound to every interface can still be dialled.
+fn connectable(mut addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(IpAddr::V4(Ipv4Addr::LOCALHOST)),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(IpAddr::V6(Ipv6Addr::LOCALHOST)),
+        _ => {}
+    }
+    addr
 }
 
 fn worker_loop(state: &ServeState, rx: &Mutex<mpsc::Receiver<TcpStream>>) {
@@ -236,6 +274,12 @@ fn handle_connection(state: &ServeState, cx: &mut EvalContext, mut stream: TcpSt
                 let draining = state.shutdown.load(Ordering::SeqCst);
                 let close = request.wants_close() || draining;
                 let (_, reply) = handle(state, cx, &request);
+                if !draining && state.shutdown.load(Ordering::SeqCst) {
+                    // The flag flipped while this request ran (`/admin/shutdown`).
+                    if let Ok(local) = stream.local_addr() {
+                        wake_acceptor(local);
+                    }
+                }
                 if write_reply(&mut stream, reply, close).is_err() || close {
                     return;
                 }
@@ -291,5 +335,19 @@ fn write_reply(stream: &mut impl Write, reply: Reply, close: bool) -> std::io::R
             }
             writer.finish()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unspecified_bind_addresses_are_dialled_on_loopback() {
+        let dial = |s: &str| connectable(s.parse().unwrap()).to_string();
+        assert_eq!(dial("0.0.0.0:8080"), "127.0.0.1:8080");
+        assert_eq!(dial("[::]:8080"), "[::1]:8080");
+        assert_eq!(dial("127.0.0.1:8080"), "127.0.0.1:8080");
+        assert_eq!(dial("10.1.2.3:8080"), "10.1.2.3:8080");
     }
 }

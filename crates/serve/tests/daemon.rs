@@ -2,15 +2,19 @@
 //! stream → maintain → site info → metrics → graceful shutdown, plus the
 //! typed error paths, all over real TCP against a scratch registry.
 
+use std::net::{Ipv4Addr, SocketAddr};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 use wi_dom::to_html;
 use wi_induction::json::JsonValue;
 use wi_maintain::{Maintainer, PersistentRegistry};
 use wi_serve::client;
 use wi_serve::router::percent_encode;
-use wi_serve::{Limits, ServeConfig, Server};
+use wi_serve::{Limits, ServeConfig, Server, ServerHandle};
 use wi_webgen::datasets::single_node_tasks;
 use wi_webgen::Day;
 
@@ -313,6 +317,70 @@ fn daemon_rejects_oversized_and_malformed_requests() {
 
     handle.shutdown();
     let registry = handle.wait();
+    assert!(!registry.is_poisoned());
+    drop(registry);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Runs `handle.wait()` on a thread and fails the test if it does not
+/// return within five seconds.  The acceptor blocks in `accept`, so a
+/// shutdown path that forgets to wake it hangs `wait` forever; this turns
+/// that hang into a failure.
+fn wait_within_deadline(handle: ServerHandle) -> PersistentRegistry {
+    let (tx, rx) = mpsc::channel();
+    let waiter = thread::spawn(move || {
+        let _ = tx.send(handle.wait());
+    });
+    let registry = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("ServerHandle::wait did not return within 5 s of shutdown");
+    waiter.join().expect("the waiting thread finished cleanly");
+    registry
+}
+
+fn start_daemon(tag: &str, addr: &str) -> (PathBuf, ServerHandle) {
+    let root = scratch_dir(tag);
+    let registry = PersistentRegistry::create(&root, 2).expect("create registry");
+    let config = ServeConfig {
+        addr: addr.to_string(),
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(registry, Maintainer::default(), config).expect("start daemon");
+    (root, handle)
+}
+
+#[test]
+fn admin_shutdown_wakes_the_acceptor_without_another_client() {
+    let (root, handle) = start_daemon("wake-admin", "127.0.0.1:0");
+    let addr = handle.addr();
+    assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+    let drain = client::post_json(addr, "/admin/shutdown", &object(vec![])).expect("shutdown");
+    assert_eq!(drain.status, 200);
+    let registry = wait_within_deadline(handle);
+    assert!(!registry.is_poisoned());
+    drop(registry);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn handle_shutdown_wakes_the_acceptor_without_another_client() {
+    let (root, handle) = start_daemon("wake-handle", "127.0.0.1:0");
+    assert_eq!(client::get(handle.addr(), "/healthz").unwrap().status, 200);
+    handle.shutdown();
+    let registry = wait_within_deadline(handle);
+    assert!(!registry.is_poisoned());
+    drop(registry);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn shutdown_wakes_a_daemon_bound_to_every_interface() {
+    let (root, handle) = start_daemon("wake-unspecified", "0.0.0.0:0");
+    assert!(handle.addr().ip().is_unspecified());
+    let loopback = SocketAddr::from((Ipv4Addr::LOCALHOST, handle.addr().port()));
+    assert_eq!(client::get(loopback, "/healthz").unwrap().status, 200);
+    handle.shutdown();
+    let registry = wait_within_deadline(handle);
     assert!(!registry.is_poisoned());
     drop(registry);
     let _ = std::fs::remove_dir_all(&root);
