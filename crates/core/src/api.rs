@@ -6,10 +6,14 @@ use crate::induce::induce;
 use crate::sample::Sample;
 use wi_dom::{Document, NodeId};
 use wi_scoring::QueryInstance;
-use wi_xpath::{evaluate, Query};
+use wi_xpath::Query;
 
 /// A ready-to-use induced wrapper: the ranked expression plus convenience
 /// methods for applying it to (new versions of) pages.
+///
+/// Extraction itself lives on the [`crate::Extractor`] trait, which
+/// `Wrapper` implements: `wrapper.extract(&doc, context)` or
+/// `wrapper.extract_root(&doc)`.
 #[derive(Debug, Clone)]
 pub struct Wrapper {
     /// The underlying ranked query instance.
@@ -30,21 +34,6 @@ impl Wrapper {
     /// The textual form of the expression.
     pub fn expression(&self) -> String {
         self.instance.query.to_string()
-    }
-
-    /// Extraction itself lives on the [`crate::Extractor`] trait, which
-    /// `Wrapper` implements: `wrapper.extract(&doc, doc.root())` or
-    /// `wrapper.extract_root(&doc)`.
-    ///
-    /// This method is the pre-`Extractor` shim for callers that still want
-    /// an infallible evaluation from an explicit context node.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `Extractor` trait: `wrapper.extract(&doc, context)`"
-    )]
-    // lint:allow(R3, deprecated pre-Extractor shim kept for API compatibility; new callers go through the pooled extract paths)
-    pub fn extract_from(&self, doc: &Document, context: NodeId) -> Vec<NodeId> {
-        evaluate(&self.instance.query, doc, context)
     }
 
     /// Extracts (from the root) and returns the normalized text of each
@@ -139,11 +128,9 @@ impl WrapperInducer {
         self.try_induce(&[sample])
     }
 
-    /// Induces and returns the top-ranked wrapper, with typed errors.
-    ///
-    /// This is the replacement for the old `Option`-returning
-    /// [`induce_best`](Self::induce_best): an empty target set, a stale node
-    /// id and an empty candidate ranking are now distinguishable.
+    /// Induces and returns the top-ranked wrapper, with typed errors: an
+    /// empty target set, a stale node id and an empty candidate ranking are
+    /// distinguishable.
     pub fn try_induce_best(
         &self,
         doc: &Document,
@@ -177,18 +164,6 @@ impl WrapperInducer {
         }
         let wrapper = self.try_induce_best(doc, &targets)?;
         Ok((wrapper, targets))
-    }
-
-    /// Induces and returns only the top-ranked wrapper, if any.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_induce_best`, which reports why induction failed"
-    )]
-    pub fn induce_best(&self, doc: &Document, targets: &[NodeId]) -> Option<Wrapper> {
-        self.induce_single(doc, targets)
-            .into_iter()
-            .next()
-            .map(Wrapper::new)
     }
 }
 
@@ -230,17 +205,6 @@ mod tests {
             inducer.try_induce_best(&doc, &[stale]).unwrap_err(),
             InduceError::MissingTarget(stale)
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_induce_best_shim_still_works() {
-        let doc = parse_html("<body><p>x</p></body>").unwrap();
-        let inducer = WrapperInducer::default();
-        assert!(inducer.induce_best(&doc, &[]).is_none());
-        let p = doc.elements_by_tag("p");
-        let wrapper = inducer.induce_best(&doc, &p).expect("a wrapper");
-        assert_eq!(wrapper.extract_root(&doc).unwrap(), p);
     }
 
     #[test]
@@ -288,9 +252,5 @@ mod tests {
         let instances = inducer.induce(&[sample]);
         let wrapper = Wrapper::new(instances[0].clone());
         assert_eq!(wrapper.extract(&doc, div_a).unwrap(), vec![em_a]);
-        #[allow(deprecated)]
-        {
-            assert_eq!(wrapper.extract_from(&doc, div_a), vec![em_a]);
-        }
     }
 }

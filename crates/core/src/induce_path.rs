@@ -16,9 +16,9 @@ use crate::step_pattern::{
     assemble_candidates, generate_parts, is_direct, select_candidates, GeneratedParts,
 };
 use std::rc::Rc;
+use wi_dom::fx::FxMap;
 use wi_dom::{Document, NodeId};
 use wi_scoring::{score_query_partial, QueryInstance};
-use wi_xpath::fx::FxMap;
 use wi_xpath::{Axis, PrefixEvaluator, Query};
 
 /// The DP state of Algorithm 2: per-node best-K tables and per-node relevant

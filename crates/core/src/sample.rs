@@ -117,8 +117,8 @@ pub fn counts_against(result: &[NodeId], targets: &[NodeId]) -> Counts {
         }
         return Counts::new(tp, fp, fne);
     }
-    let result_set: wi_xpath::fx::FxSet<NodeId> = result.iter().copied().collect();
-    let target_set: wi_xpath::fx::FxSet<NodeId> = targets.iter().copied().collect();
+    let result_set: wi_dom::fx::FxSet<NodeId> = result.iter().copied().collect();
+    let target_set: wi_dom::fx::FxSet<NodeId> = targets.iter().copied().collect();
     let tp = result_set.intersection(&target_set).count() as u32;
     let fp = result_set.difference(&target_set).count() as u32;
     let fne = target_set.difference(&result_set).count() as u32;

@@ -328,14 +328,14 @@ pub(crate) fn select_candidates(
     // Duplicate suppression indexed by the render's hash; the (rare)
     // collision falls back to comparing the stored renders, so the dedup is
     // exactly "same textual form" without cloning a key per candidate.
-    let mut seen: wi_xpath::fx::FxMap<u64, Vec<usize>> = wi_xpath::fx::FxMap::default();
+    let mut seen: wi_dom::fx::FxMap<u64, Vec<usize>> = wi_dom::fx::FxMap::default();
 
     let mut consider =
         |query: Query, result: &[NodeId], scored: &mut Vec<(QueryInstance, String)>| {
             let key = query.render();
             let hash = {
                 use std::hash::{Hash, Hasher};
-                let mut h = wi_xpath::fx::FxHasher::default();
+                let mut h = wi_dom::fx::FxHasher::default();
                 key.hash(&mut h);
                 h.finish()
             };
@@ -415,10 +415,10 @@ pub(crate) fn select_candidates(
     //    patterns that typically select whole template lists) and the most
     //    accurate-against-{t} ones.
     let mut out: Vec<(&QueryInstance, &str)> = Vec::new();
-    let mut emitted: wi_xpath::fx::FxSet<&str> = wi_xpath::fx::FxSet::default();
+    let mut emitted: wi_dom::fx::FxSet<&str> = wi_dom::fx::FxSet::default();
     fn emit<'a>(
         entry: &'a (QueryInstance, String),
-        emitted: &mut wi_xpath::fx::FxSet<&'a str>,
+        emitted: &mut wi_dom::fx::FxSet<&'a str>,
         out: &mut Vec<(&'a QueryInstance, &'a str)>,
     ) {
         if emitted.insert(entry.1.as_str()) {

@@ -116,7 +116,7 @@ impl Document {
     }
 
     /// The structural hash of the whole document (the root's subtree hash).
-    /// This is the content identity the maintenance layer's cross-version
+    /// This is the content identity the maintenance layer's incremental
     /// caches key on.
     pub fn content_hash(&self) -> u64 {
         self.subtree_hash(self.root)

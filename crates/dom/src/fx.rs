@@ -11,7 +11,7 @@
 //!
 //! The scheme lives in `wi-dom` (the workspace's dependency root) so the
 //! hash index, the evaluator and the maintenance caches all share one
-//! implementation; `wi_xpath::fx` re-exports it.
+//! implementation.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

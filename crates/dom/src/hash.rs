@@ -262,7 +262,7 @@ pub fn result_sets_equivalent(
 
 /// A compact structural fingerprint of an entire document: its root hash plus
 /// element count.  Used by the archive simulator to detect "no change"
-/// snapshots cheaply and by the maintenance layer's cross-version caches as
+/// snapshots cheaply and by the maintenance layer's incremental caches as
 /// the content identity of a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DocumentFingerprint {
@@ -443,7 +443,7 @@ mod tests {
 
     #[test]
     fn equal_subtrees_hash_equal_across_interner_numberings() {
-        // Property behind the cross-version caches: equal subtrees of
+        // Property behind the incremental caches: equal subtrees of
         // documents with *different* interner numberings hash equal, because
         // the per-symbol table hashes string contents.  Skew document B's
         // interner by interning unrelated strings first.

@@ -21,7 +21,6 @@
 //! | R5 | **No lock across I/O**: a registry `RwLock` guard may not be live across a blocking socket call (`write_all`, `flush`, …) within a function body. | PR 6 |
 //! | R6 | **Forbidden drift**: lossy `as u32`-style casts in checksum/log code; `SystemTime::now()` outside designated modules; `std::process`/`std::net` outside the serve/eval layer. | PR 5/6 |
 //! | R7 | **Endpoint observability**: every `Endpoint` variant appears in `ALL` and `index()` (a variant missing from `ALL` silently drops out of `/metrics`), and no `span(…)` guard stays live across a registry lock acquisition in serve — handlers use the guard-free `record_span` form. | PR 8 |
-//! | R8 | **Cross-version cache write discipline**: in `crates/xpath/src/xversion.rs`, the cache's entry map is written only through the designated entry points (`admit`, `invalidate`); mutating method calls, whole-map reassignment and `&mut` borrows of the map anywhere else are denied. | PR 9 |
 //! | R9 | **Registry durability pairing**: in `crates/maintain/src/registry/`, every `fs::rename` / `File::create` / `create_new` call commits a directory entry and must share its function body with a `sync_dir` of the parent directory. See the durability note in `crates/maintain/src/registry/shard.rs`. | PR 10 |
 //!
 //! # Suppressing a finding
@@ -103,12 +102,6 @@ pub struct LintConfig {
     pub r7_prefixes: Vec<String>,
     /// R7: call names whose `let` binding is an RAII span guard.
     pub r7_span_calls: Vec<String>,
-    /// R8: path suffixes of the file(s) holding the cross-version cache.
-    pub r8_files: Vec<String>,
-    /// R8: field name of the cache's entry map.
-    pub r8_entry_map: String,
-    /// R8: functions allowed to write the entry map.
-    pub r8_entry_points: Vec<String>,
     /// R9: path prefixes of the registry's durable-layout tree.
     pub r9_prefixes: Vec<String>,
     /// R9: call names that commit a directory entry.
@@ -161,9 +154,6 @@ impl Default for LintConfig {
             r7_endpoint_enum: "Endpoint".into(),
             r7_prefixes: s(&["crates/serve/src/"]),
             r7_span_calls: s(&["span"]),
-            r8_files: s(&["crates/xpath/src/xversion.rs"]),
-            r8_entry_map: "entries".into(),
-            r8_entry_points: s(&["admit", "invalidate"]),
             r9_prefixes: s(&["crates/maintain/src/registry/"]),
             r9_calls: s(&["rename", "create", "create_new"]),
             check_unused_allows: false,
@@ -206,7 +196,6 @@ pub fn lint_files(files: &[SourceFile], cfg: &LintConfig) -> Vec<Diagnostic> {
     rules::r5_lock::check(files, cfg, &mut raw);
     rules::r6_drift::check(files, cfg, &mut raw);
     rules::r7_obs::check(files, cfg, &mut raw);
-    rules::r8_xversion::check(files, cfg, &mut raw);
     rules::r9_durability::check(files, cfg, &mut raw);
 
     let mut out: Vec<Diagnostic> = Vec::new();

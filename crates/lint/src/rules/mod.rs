@@ -1,4 +1,4 @@
-//! The nine invariant rules and the call-graph machinery they share.
+//! The invariant rules (R1–R7, R9) and the call-graph machinery they share.
 //!
 //! Each rule is a pure function from loaded [`SourceFile`]s to
 //! diagnostics; pragma suppression happens centrally in
@@ -11,7 +11,6 @@ pub mod r4_panic;
 pub mod r5_lock;
 pub mod r6_drift;
 pub mod r7_obs;
-pub mod r8_xversion;
 pub mod r9_durability;
 
 use crate::diag::Diagnostic;

@@ -172,29 +172,6 @@ fn r7_is_scoped_to_the_endpoint_file_and_serve_prefix() {
 }
 
 #[test]
-fn r8_xversion_write_discipline_fires_and_clean_twin_passes() {
-    let rel = "crates/xpath/src/xversion.rs";
-    assert_eq!(
-        lint("r8_violate.rs", rel, &LintConfig::default()),
-        markers("r8_violate.rs")
-    );
-    assert_eq!(lint("r8_clean.rs", rel, &strict()), vec![]);
-}
-
-#[test]
-fn r8_is_scoped_to_the_xversion_file() {
-    // The same violating source produces nothing outside the cache file.
-    assert_eq!(
-        lint(
-            "r8_violate.rs",
-            "crates/xpath/src/eval.rs",
-            &LintConfig::default()
-        ),
-        vec![]
-    );
-}
-
-#[test]
 fn r9_durability_pairing_fires_and_clean_twin_passes() {
     let rel = "crates/maintain/src/registry/shard.rs";
     assert_eq!(

@@ -28,9 +28,7 @@ use serde::{Deserialize, Serialize};
 use wi_dom::{Document, NodeId};
 use wi_induction::WrapperBundle;
 use wi_xpath::eval::evaluate_step;
-use wi_xpath::{
-    parse_query, EvalContext, Predicate, PrefixEvaluator, Query, Step, StringFunction, TextSource,
-};
+use wi_xpath::{parse_query, Predicate, PrefixEvaluator, Query, Step, StringFunction, TextSource};
 
 /// The break groups of the paper's Section 6.2, as a drift classifier
 /// reports them (compare `wi_webgen::ChangeClass`, the generated ground
@@ -203,33 +201,15 @@ impl DriftClassifier {
         DriftClassifier { config }
     }
 
-    /// Classifies one flagged snapshot, allocating a fresh evaluation
-    /// context.
-    pub fn classify(
-        &self,
-        bundle: &WrapperBundle,
-        doc: &Document,
-        day: i64,
-        lkg: Option<&LastKnownGood>,
-        health: &HealthReport,
-    ) -> DriftReport {
-        self.classify_with(&mut EvalContext::new(), bundle, doc, day, lkg, health)
-    }
-
-    /// Classifies one flagged snapshot, reusing the caller's evaluation
-    /// context.
+    /// Classifies one flagged snapshot.
     ///
     /// All full-expression probes and prefix walks of the fix search run
     /// through one per-call [`PrefixEvaluator`]: the prefix node sets are
     /// memoized across the bundle's entries (ensemble members share
     /// anchors) and across the relaxation/backtracking attempts, which used
-    /// to re-run every prefix per attempt.  The pooled context parameter is
-    /// kept so the maintenance pipeline threads one context uniformly
-    /// through verify → classify → repair (verification and repair replay
-    /// extraction through it).
-    pub fn classify_with(
+    /// to re-run every prefix per attempt.
+    pub fn classify(
         &self,
-        cx: &mut EvalContext,
         bundle: &WrapperBundle,
         doc: &Document,
         day: i64,
@@ -244,13 +224,7 @@ impl DriftClassifier {
             };
         }
 
-        // When the pooled context carries a cross-version cache (the
-        // incremental maintenance loop enables one), prefix walks reuse
-        // step results cached on earlier snapshots of the same site.
-        let mut prefix = match cx.cross_version_mut() {
-            Some(cache) => PrefixEvaluator::with_cache(doc, cache),
-            None => PrefixEvaluator::new(doc),
-        };
+        let mut prefix = PrefixEvaluator::new(doc);
         let mut entries = Vec::new();
         for (entry_idx, entry) in bundle.entries.iter().enumerate() {
             let Ok(query) = parse_query(&entry.expression) else {

@@ -26,11 +26,11 @@
 //! ## Invalidation contract
 //!
 //! Keys embed content fingerprints, so a changed document can never hit a
-//! stale entry — staleness is impossible by construction, exactly as in
-//! [`wi_xpath::CrossVersionCache`].  The one drift signal that warrants
-//! flushing anyway is a [`DriftClass::Redesign`](crate::DriftClass): a
-//! redesigned site invalidates the *assumption* that past page shapes recur,
-//! so [`IncrementalState::invalidate`] drops everything rather than let the
+//! stale entry — staleness is impossible by construction.  The one drift
+//! signal that warrants flushing anyway is a
+//! [`DriftClass::Redesign`](crate::DriftClass): a redesigned site
+//! invalidates the *assumption* that past page shapes recur, so
+//! [`IncrementalState::invalidate`] drops everything rather than let the
 //! maps grow with entries that will never hit again.  [`invalidate`] is the
 //! **only** wholesale eviction entry point; per-entry admission goes through
 //! [`verify`](IncrementalState::verify) and

@@ -130,11 +130,12 @@ pub struct MaintainConfig {
     /// Consecutive failed repairs with drift class
     /// [`DriftClass::TargetRemoved`] before the wrapper retires.
     pub retire_after: usize,
-    /// Enables the incremental-replay caches: cross-version step caching in
-    /// the evaluator, verify memoization and re-induction memoization keyed
-    /// by content fingerprints (the `incremental` module).  Outcomes are
-    /// byte-identical with the caches on or off; this switch exists for the
-    /// equivalence battery and for bisecting.  Defaults to `true`.
+    /// Enables the incremental-replay caches: verify, extraction, capture and
+    /// re-induction memoization keyed by content fingerprints, plus the
+    /// epoch-echo replay of identical snapshots (the `incremental` module).
+    /// Outcomes are byte-identical with the caches on or off; this switch
+    /// exists for the equivalence battery and for bisecting.  Defaults to
+    /// `true`.
     pub incremental: bool,
 }
 
@@ -244,11 +245,6 @@ impl Maintainer {
 
         let run_started = Instant::now();
         let mut inc = self.config.incremental.then(IncrementalState::new);
-        if inc.is_some() {
-            // Step results cached across snapshots survive in the context,
-            // keyed by subtree fingerprints (sound across documents).
-            cx.enable_cross_version();
-        }
 
         let mut bundle = bundle;
         let mut lkg = seed_lkg;
@@ -353,7 +349,7 @@ impl Maintainer {
             // Flagged: classify, then (unless retired) try to repair.
             let classify_started = Instant::now();
             let drift: DriftReport =
-                classifier.classify_with(cx, &bundle, &page.doc, page.day, lkg.as_ref(), &health);
+                classifier.classify(&bundle, &page.doc, page.day, lkg.as_ref(), &health);
             obs.classify_latency_us
                 .observe_us(classify_started.elapsed());
             obs.drift_counter(drift.class).inc();
@@ -362,9 +358,6 @@ impl Maintainer {
                 // drop the memos rather than let them grow cold.
                 if let Some(state) = inc.as_mut() {
                     state.invalidate();
-                }
-                if let Some(cache) = cx.cross_version_mut() {
-                    cache.invalidate();
                 }
             }
             let mut repair_action = None;
@@ -457,25 +450,18 @@ impl Maintainer {
         }
 
         if let Some(mut state) = inc {
-            let memo = state.take_stats();
-            let xv = cx
-                .cross_version_mut()
-                .map(|cache| cache.take_stats())
-                .unwrap_or_default();
-            let hits = memo.hits + xv.hits;
-            let misses = memo.misses + xv.misses;
-            let invalidations = memo.invalidations + xv.invalidations;
-            obs.cache_hits.add(hits);
-            obs.cache_misses.add(misses);
-            obs.cache_invalidations.add(invalidations);
+            let stats = state.take_stats();
+            obs.cache_hits.add(stats.hits);
+            obs.cache_misses.add(stats.misses);
+            obs.cache_invalidations.add(stats.invalidations);
             wi_obs::record_span(
                 "maintain.incremental",
                 run_started,
                 &[
                     ("epochs", pages.len() as u64),
-                    ("hits", hits),
-                    ("misses", misses),
-                    ("invalidations", invalidations),
+                    ("hits", stats.hits),
+                    ("misses", stats.misses),
+                    ("invalidations", stats.invalidations),
                 ],
             );
         }

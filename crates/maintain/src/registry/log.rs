@@ -40,9 +40,9 @@ use crate::lifecycle::WrapperState;
 use crate::verify::{AnchorCarrier, LastKnownGood};
 use std::hash::Hasher as _;
 use std::path::PathBuf;
+use wi_dom::fx::FxHasher;
 use wi_induction::json::{parse_json, JsonValue};
 use wi_induction::WrapperBundle;
-use wi_xpath::fx::FxHasher;
 
 /// A typed failure of the persistent registry.
 #[derive(Debug)]

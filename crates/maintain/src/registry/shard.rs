@@ -41,8 +41,8 @@ use std::collections::HashMap;
 use std::hash::Hasher as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use wi_dom::fx::FxHasher;
 use wi_induction::json::{parse_json, JsonValue};
-use wi_xpath::fx::FxHasher;
 
 /// The format marker of the root manifest.
 pub(crate) const REGISTRY_FORMAT: &str = "wrapper-induction/registry";

@@ -38,13 +38,13 @@ pub(crate) struct MaintainMetrics {
     /// the most recent epoch (last writer wins across parallel runs).
     pub target_gone_streak: Gauge,
     /// `wi_maintain_cache_hits_total` — incremental-replay cache hits,
-    /// aggregated across the verify memo, the re-induction memo and the
-    /// evaluator's cross-version step cache.
+    /// aggregated across the `IncrementalState` memos (verify, extraction,
+    /// lkg capture and re-induction).
     pub cache_hits: Counter,
     /// `wi_maintain_cache_misses_total` — same layers, misses.
     pub cache_misses: Counter,
-    /// `wi_maintain_cache_invalidations_total` — wholesale evictions
-    /// (redesign-class drift, capacity overflow).
+    /// `wi_maintain_cache_invalidations_total` — wholesale evictions on
+    /// redesign-class drift.
     pub cache_invalidations: Counter,
 }
 

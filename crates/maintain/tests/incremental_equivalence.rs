@@ -9,7 +9,8 @@ use proptest::prelude::*;
 use wi_dom::Document;
 use wi_induction::{WrapperBundle, WrapperInducer};
 use wi_maintain::{
-    LastKnownGood, MaintainConfig, Maintainer, MaintenanceJob, PageVersion, Registry,
+    DriftClass, LastKnownGood, MaintainConfig, Maintainer, MaintenanceJob, MaintenanceLog,
+    PageVersion, Registry,
 };
 use wi_scoring::ScoringParams;
 use wi_webgen::archive::ArchiveSimulator;
@@ -114,6 +115,10 @@ enum Mutation {
     Rotate,
     /// Rename the anchor class (attribute drift → re-anchor repair).
     Rename,
+    /// Suffix the anchor class with a version marker (`p` → `p-r1`), the
+    /// shape the classifier reports as [`DriftClass::Redesign`] — the one
+    /// class on which the loop flushes its incremental memos.
+    Redesign,
     /// Drop the target block (target removed → degradation/retirement).
     RemoveBlock,
     /// A broken capture (error page).
@@ -124,11 +129,12 @@ fn arb_mutations() -> impl Strategy<Value = Vec<Mutation>> {
     // Weighted by index range: identical snapshots dominate, as on the
     // live web (and that is the case the fingerprint fast path serves).
     prop::collection::vec(
-        (0usize..8).prop_map(|choice| match choice {
+        (0usize..9).prop_map(|choice| match choice {
             0..=2 => Mutation::Identical,
             3..=4 => Mutation::Rotate,
             5 => Mutation::Rename,
-            6 => Mutation::RemoveBlock,
+            6 => Mutation::Redesign,
+            7 => Mutation::RemoveBlock,
             _ => Mutation::Broken,
         }),
         1..12,
@@ -155,6 +161,7 @@ fn timeline(mutations: &[Mutation]) -> Vec<PageVersion> {
     let mut class = "p".to_string();
     let mut generation = 0usize;
     let mut with_block = true;
+    let mut redesigns = 0usize;
     let mut pages = vec![PageVersion {
         day: 0,
         doc: render(&class, generation, with_block),
@@ -171,6 +178,11 @@ fn timeline(mutations: &[Mutation]) -> Vec<PageVersion> {
                 class.push('x');
                 render(&class, generation, with_block)
             }
+            Mutation::Redesign => {
+                redesigns += 1;
+                class = format!("{class}-r{redesigns}");
+                render(&class, generation, with_block)
+            }
             Mutation::RemoveBlock => {
                 with_block = false;
                 render(&class, generation, with_block)
@@ -185,29 +197,61 @@ fn timeline(mutations: &[Mutation]) -> Vec<PageVersion> {
     pages
 }
 
+/// Maintains the synthetic timeline of `mutations` twice, with the
+/// incremental caches on and off, from a wrapper induced on the seed
+/// snapshot's `span`s.
+fn run_both(mutations: &[Mutation]) -> (MaintenanceLog, MaintenanceLog) {
+    let pages = timeline(mutations);
+    let doc = &pages[0].doc;
+    let targets: Vec<_> = doc
+        .descendants(doc.root())
+        .filter(|&n| doc.tag_name(n) == Some("span"))
+        .collect();
+    let wrapper = WrapperInducer::default()
+        .try_induce_best(doc, &targets)
+        .expect("induction succeeds on the seed snapshot");
+    let bundle =
+        WrapperBundle::from_wrapper(&wrapper, ScoringParams::paper_defaults()).with_label("prop");
+    let lkg = LastKnownGood::capture_for(&bundle, doc, 0, &targets);
+
+    let inc = maintainer(true).run("prop", bundle.clone(), &pages, Some(lkg.clone()));
+    let full = maintainer(false).run("prop", bundle, &pages, Some(lkg));
+    (inc, full)
+}
+
+/// A redesign in the middle of a timeline takes the loop's memo-flush
+/// branch; the snapshots after it must still replay identically.
+#[test]
+fn redesign_flush_is_cache_invariant() {
+    let mutations = [
+        Mutation::Identical,
+        Mutation::Rotate,
+        Mutation::Redesign,
+        Mutation::Identical,
+        Mutation::Rotate,
+        Mutation::Redesign,
+        Mutation::Identical,
+    ];
+    let (inc, full) = run_both(&mutations);
+    assert!(
+        inc.outcomes
+            .iter()
+            .any(|o| o.drift == Some(DriftClass::Redesign)),
+        "no epoch was classified as a redesign: {:?}",
+        inc.outcomes.iter().map(|o| o.drift).collect::<Vec<_>>()
+    );
+    assert_eq!(format!("{inc:#?}"), format!("{full:#?}"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any mutation sequence — identical snapshots, value churn, renames,
-    /// removals, broken captures, in any order — produces the same
+    /// redesigns, removals, broken captures, in any order — produces the same
     /// maintenance log with the caches on and off.
     #[test]
     fn random_mutation_sequences_are_cache_invariant(mutations in arb_mutations()) {
-        let pages = timeline(&mutations);
-        let doc = &pages[0].doc;
-        let targets: Vec<_> = doc
-            .descendants(doc.root())
-            .filter(|&n| doc.tag_name(n) == Some("span"))
-            .collect();
-        let wrapper = WrapperInducer::default()
-            .try_induce_best(doc, &targets)
-            .expect("induction succeeds on the seed snapshot");
-        let bundle = WrapperBundle::from_wrapper(&wrapper, ScoringParams::paper_defaults())
-            .with_label("prop");
-        let lkg = LastKnownGood::capture_for(&bundle, doc, 0, &targets);
-
-        let inc = maintainer(true).run("prop", bundle.clone(), &pages, Some(lkg.clone()));
-        let full = maintainer(false).run("prop", bundle, &pages, Some(lkg));
+        let (inc, full) = run_both(&mutations);
         prop_assert_eq!(
             format!("{inc:#?}"),
             format!("{full:#?}"),

@@ -21,7 +21,6 @@
 //! harness only ever compares element/text targets.
 
 use crate::ast::{Axis, NodeTest, Predicate, Query, Step, TextSource};
-use crate::xversion::{CrossVersionCache, Lookup};
 use wi_dom::{Document, NodeId, NodeKind};
 
 /// Result of [`evaluate_with_anchors`]: the final node set plus the
@@ -73,35 +72,12 @@ pub struct EvalContext {
     /// `div[descendant::span]` reuses buffers per candidate instead of
     /// allocating three vectors each time.
     nested: Option<Box<EvalContext>>,
-    /// Optional cross-version step cache (see [`crate::xversion`]).  Off by
-    /// default; the maintenance loop enables it so structurally unchanged
-    /// subtrees are never re-walked across snapshots.
-    xversion: Option<Box<CrossVersionCache>>,
 }
 
 impl EvalContext {
     /// Creates a context with empty buffers.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Enables the cross-version step cache (idempotent) and returns it.
-    /// Cached entries are keyed by structural fingerprint, so one enabled
-    /// context may be reused across documents and snapshots.
-    pub fn enable_cross_version(&mut self) -> &mut CrossVersionCache {
-        self.xversion.get_or_insert_with(Default::default)
-    }
-
-    /// The cross-version cache, when enabled.
-    pub fn cross_version(&self) -> Option<&CrossVersionCache> {
-        self.xversion.as_deref()
-    }
-
-    /// Mutable access to the cross-version cache, when enabled — used by the
-    /// maintenance loop to flush [`crate::xversion::CacheStats`] into
-    /// telemetry and to invalidate on redesign-class drift.
-    pub fn cross_version_mut(&mut self) -> Option<&mut CrossVersionCache> {
-        self.xversion.as_deref_mut()
     }
 }
 
@@ -135,23 +111,13 @@ fn evaluate_core(cx: &mut EvalContext, query: &Query, doc: &Document, context: N
     let mut current = std::mem::take(&mut cx.current);
     let mut next = std::mem::take(&mut cx.next);
     let mut candidates = std::mem::take(&mut cx.candidates);
-    // Detach the cache for the duration of the loop so it can be threaded
-    // alongside the nested path-predicate context without aliasing `cx`.
-    let mut xversion = cx.xversion.take();
     current.clear();
     current.push(start);
     for step in &query.steps {
         next.clear();
         if let [ctx] = current[..] {
             // Single context: select straight into `next`, no scratch copy.
-            step_into_maybe_cached(
-                xversion.as_deref_mut(),
-                step,
-                doc,
-                ctx,
-                &mut next,
-                &mut cx.nested,
-            );
+            evaluate_step_into(step, doc, ctx, &mut next, &mut cx.nested);
             // A forward-axis step from a single context emits candidates in
             // document order with no duplicates (and predicates only
             // filter), so the sort+dedup pass would be a no-op; skip it.
@@ -160,14 +126,7 @@ fn evaluate_core(cx: &mut EvalContext, query: &Query, doc: &Document, context: N
             }
         } else {
             for &ctx in &current {
-                step_into_maybe_cached(
-                    xversion.as_deref_mut(),
-                    step,
-                    doc,
-                    ctx,
-                    &mut candidates,
-                    &mut cx.nested,
-                );
+                evaluate_step_into(step, doc, ctx, &mut candidates, &mut cx.nested);
                 next.extend_from_slice(&candidates);
             }
             doc.sort_document_order(&mut next);
@@ -180,33 +139,6 @@ fn evaluate_core(cx: &mut EvalContext, query: &Query, doc: &Document, context: N
     cx.current = current;
     cx.next = next;
     cx.candidates = candidates;
-    cx.xversion = xversion;
-}
-
-/// Applies one step from one context node, going through the cross-version
-/// cache when one is enabled.  Fills `out` (cleared first) with the step's
-/// post-predicate candidates in axis order — exactly what
-/// [`evaluate_step_into`] produces, whether the cache hits or not.
-fn step_into_maybe_cached(
-    xversion: Option<&mut CrossVersionCache>,
-    step: &Step,
-    doc: &Document,
-    ctx: NodeId,
-    out: &mut Vec<NodeId>,
-    nested: &mut Option<Box<EvalContext>>,
-) {
-    let Some(cache) = xversion else {
-        evaluate_step_into(step, doc, ctx, out, nested);
-        return;
-    };
-    match cache.lookup_into(doc, ctx, step, out) {
-        Lookup::Hit => {}
-        Lookup::Miss(key) => {
-            evaluate_step_into(step, doc, ctx, out, nested);
-            cache.admit(doc, key, step, out);
-        }
-        Lookup::Uncacheable => evaluate_step_into(step, doc, ctx, out, nested),
-    }
 }
 
 /// Whether a step along this axis, from one context node, yields candidates
@@ -840,54 +772,6 @@ mod tests {
                 "{expr}"
             );
         }
-    }
-
-    #[test]
-    fn cross_version_cache_preserves_results_byte_identically() {
-        // Every query — cacheable steps, uncacheable axes, nested
-        // predicates — must evaluate identically with the cache enabled,
-        // on first (miss) and second (hit) evaluation alike.
-        let doc = imdb_like();
-        let queries = [
-            r#"descendant::div[starts-with(.,"Director:")]/descendant::span[@itemprop="name"]"#,
-            "descendant::div/child::a/@href",
-            "descendant::span/ancestor::div",
-            "descendant::div[child::h4]/descendant::span",
-            "child::html/child::body/child::div[last()]",
-            "descendant::a/following-sibling::a",
-        ];
-        let mut cx = EvalContext::new();
-        cx.enable_cross_version();
-        for _round in 0..2 {
-            for expr in queries {
-                let q = parse_query(expr).unwrap();
-                assert_eq!(
-                    evaluate_with(&mut cx, &q, &doc, doc.root()),
-                    evaluate(&q, &doc, doc.root()),
-                    "{expr}"
-                );
-            }
-        }
-        let stats = cx.cross_version().unwrap().stats();
-        assert!(stats.hits > 0, "second round must hit: {stats:?}");
-        assert!(stats.misses > 0);
-    }
-
-    #[test]
-    fn cross_version_cache_survives_mutation() {
-        let mut doc = imdb_like();
-        let mut cx = EvalContext::new();
-        cx.enable_cross_version();
-        let q = parse_query(r#"descendant::div/descendant::span[@itemprop="name"]"#).unwrap();
-        let before = evaluate_with(&mut cx, &q, &doc, doc.root());
-        assert_eq!(before.len(), 3);
-        // Remove the writers block; cached entries keyed by the old subtree
-        // fingerprints must not resurface stale nodes.
-        let gone = doc.elements_by_tag("div")[2];
-        doc.remove_subtree(gone).unwrap();
-        let after = evaluate_with(&mut cx, &q, &doc, doc.root());
-        assert_eq!(after, evaluate(&q, &doc, doc.root()));
-        assert_eq!(after.len(), 1);
     }
 
     #[test]

@@ -46,10 +46,8 @@ pub mod dsl;
 pub mod eval;
 pub mod eval_reference;
 pub mod fragment;
-pub mod fx;
 pub mod parser;
 pub mod prefix;
-pub mod xversion;
 
 pub use ast::{Axis, NodeTest, Predicate, Query, Step, StringFunction, TextSource};
 pub use canonical::{c_changes, canonical_path, canonical_step};
@@ -59,4 +57,3 @@ pub use eval_reference::evaluate_reference;
 pub use fragment::{is_ds_xpath, is_one_directional, is_plausible, Direction};
 pub use parser::{parse_query, ParseError};
 pub use prefix::{PrefixEvaluator, PrefixHandle, TrieStats};
-pub use xversion::{CacheStats, CrossVersionCache};

@@ -31,8 +31,7 @@
 
 use crate::ast::{Query, Step};
 use crate::eval::{evaluate_step_into, EvalContext};
-use crate::fx::FxMap;
-use crate::xversion::{CrossVersionCache, Lookup};
+use wi_dom::fx::FxMap;
 use wi_dom::{Document, NodeId};
 
 /// One memoized trie node: the node set after a step prefix, plus the edges
@@ -96,11 +95,6 @@ pub struct PrefixEvaluator<'d> {
     nested: Option<Box<EvalContext>>,
     /// Cumulative walk/hit counters (plain `u64`s; see [`TrieStats`]).
     stats: TrieStats,
-    /// Optional cross-version step cache (see [`crate::xversion`]): fresh
-    /// step applications consult it before walking, so prefixes over
-    /// subtrees unchanged since a prior snapshot are rematerialized instead
-    /// of re-evaluated.  Trie memoization within this document is unaffected.
-    xversion: Option<&'d mut CrossVersionCache>,
 }
 
 impl<'d> PrefixEvaluator<'d> {
@@ -113,19 +107,7 @@ impl<'d> PrefixEvaluator<'d> {
             candidates: Vec::new(),
             nested: None,
             stats: TrieStats::default(),
-            xversion: None,
         }
-    }
-
-    /// Creates an evaluator for `doc` backed by a cross-version cache that
-    /// outlives this (per-document) evaluator — the maintenance loop passes
-    /// one cache across every snapshot of a site, so step applications over
-    /// structurally unchanged subtrees are answered by fingerprint instead
-    /// of re-walked.  Results are byte-identical to [`Self::new`]'s.
-    pub fn with_cache(doc: &'d Document, cache: &'d mut CrossVersionCache) -> PrefixEvaluator<'d> {
-        let mut this = PrefixEvaluator::new(doc);
-        this.xversion = Some(cache);
-        this
     }
 
     /// The document this evaluator memoizes over.
@@ -255,7 +237,7 @@ impl<'d> PrefixEvaluator<'d> {
         if let [ctx] = self.nodes[from].set[..] {
             // Single context: select straight into the result, no
             // per-context scratch copy.
-            self.step_into_maybe_cached(step, ctx, &mut next);
+            evaluate_step_into(step, self.doc, ctx, &mut next, &mut self.nested);
             // Mirror the naive evaluator exactly: skip the no-op sort for a
             // forward-axis step from a single context (see
             // `eval::step_preserves_doc_order`).
@@ -265,34 +247,13 @@ impl<'d> PrefixEvaluator<'d> {
             return next;
         }
         let mut candidates = std::mem::take(&mut self.candidates);
-        let set = std::mem::take(&mut self.nodes[from].set);
-        for &ctx in &set {
-            self.step_into_maybe_cached(step, ctx, &mut candidates);
+        for &ctx in &self.nodes[from].set {
+            evaluate_step_into(step, self.doc, ctx, &mut candidates, &mut self.nested);
             next.extend_from_slice(&candidates);
         }
-        self.nodes[from].set = set;
         self.doc.sort_document_order(&mut next);
         self.candidates = candidates;
         next
-    }
-
-    /// One step application from one context node, consulting the
-    /// cross-version cache when present (same contract as the naive
-    /// evaluator's cached step helper: `out` is cleared, then filled with
-    /// the post-predicate candidates in axis order).
-    fn step_into_maybe_cached(&mut self, step: &Step, ctx: NodeId, out: &mut Vec<NodeId>) {
-        let Some(cache) = self.xversion.as_deref_mut() else {
-            evaluate_step_into(step, self.doc, ctx, out, &mut self.nested);
-            return;
-        };
-        match cache.lookup_into(self.doc, ctx, step, out) {
-            Lookup::Hit => {}
-            Lookup::Miss(key) => {
-                evaluate_step_into(step, self.doc, ctx, out, &mut self.nested);
-                cache.admit(self.doc, key, step, out);
-            }
-            Lookup::Uncacheable => evaluate_step_into(step, self.doc, ctx, out, &mut self.nested),
-        }
     }
 }
 
@@ -409,44 +370,6 @@ mod tests {
         // Taking the stats resets them.
         assert_eq!(shared.take_trie_stats(), second);
         assert_eq!(shared.trie_stats(), TrieStats::default());
-    }
-
-    #[test]
-    fn with_cache_matches_naive_across_snapshots() {
-        // Two "snapshots" of a page sharing their cast list; one long-lived
-        // cache spans both per-document evaluators.
-        let v1 = page();
-        let v2 = parse_html(
-            r#"<html><body>
-              <p class="banner">fresh navigation chrome</p>
-              <div id="main">
-                <ul class="cast"><li>a</li><li>b</li><li>c</li></ul>
-                <ul class="crew"><li>x</li><li>y</li></ul>
-              </div>
-              <div class="other"><span itemprop="name">z</span></div>
-            </body></html>"#,
-        )
-        .unwrap();
-        let queries = [
-            "descendant::ul/child::li",
-            r#"descendant::ul[@class="cast"]/child::li[last()]"#,
-            "descendant::ul/child::li/parent::ul",
-            r#"descendant::span[@itemprop="name"]"#,
-        ];
-        let mut cache = CrossVersionCache::new();
-        for doc in [&v1, &v2] {
-            let mut shared = PrefixEvaluator::with_cache(doc, &mut cache);
-            for expr in queries {
-                let q = parse_query(expr).unwrap();
-                assert_eq!(
-                    shared.evaluate(doc.root(), &q),
-                    evaluate(&q, doc, doc.root()),
-                    "{expr}"
-                );
-            }
-        }
-        // The unchanged cast/crew subtrees must transfer to snapshot two.
-        assert!(cache.stats().hits > 0, "{:?}", cache.stats());
     }
 
     #[test]
