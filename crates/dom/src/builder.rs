@@ -10,7 +10,8 @@
 
 use crate::document::Document;
 use crate::error::{DomError, Result};
-use crate::node::{Attribute, NodeId};
+use crate::intern::Sym;
+use crate::node::{Attribute, NodeData, NodeId};
 
 /// Declarative specification of a subtree: either an element with attributes
 /// and children, or a text node.
@@ -111,7 +112,15 @@ impl TreeSpec {
     /// Materialises the specification under an existing parent node of `doc`.
     ///
     /// Returns the id of the created top node of the subtree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parent` is not a live node of `doc`.
     pub fn build_under(&self, doc: &mut Document, parent: NodeId) -> NodeId {
+        assert!(
+            doc.contains(parent),
+            "build_under: {parent} is not a live node"
+        );
         build_into(doc, parent, self)
     }
 }
@@ -123,24 +132,28 @@ fn build_into(doc: &mut Document, parent: NodeId, spec: &TreeSpec) -> NodeId {
             attributes,
             children,
         } => {
-            let id = doc.create_element(tag.clone(), attributes.clone());
-            doc.append_child(parent, id)
-                .expect("append to live parent cannot fail");
+            let data = NodeData::Element {
+                tag: tag.clone(),
+                attributes: attributes.clone(),
+            };
+            let id = doc.append_new(parent, data);
             for c in children {
                 build_into(doc, id, c);
             }
             id
         }
-        TreeSpec::Text(t) => {
-            let id = doc.create_text(t.clone());
-            doc.append_child(parent, id)
-                .expect("append to live parent cannot fail");
-            id
-        }
+        TreeSpec::Text(t) => doc.append_new(parent, NodeData::Text(t.clone())),
     }
 }
 
 /// Imperative document builder with an explicit open/close element stack.
+///
+/// Every node goes straight into the arena as the last child of the current
+/// element, so building is linear in the number of nodes.  The stack keeps
+/// each open element's interned tag, and a per-tag count of open elements
+/// makes [`has_open`](Self::has_open) O(1); [`close_until`](Self::close_until)
+/// returns at once for a tag with no open element and otherwise scans only
+/// the elements it closes.
 ///
 /// ```
 /// use wi_dom::DocumentBuilder;
@@ -157,7 +170,12 @@ fn build_into(doc: &mut Document, parent: NodeId, spec: &TreeSpec) -> NodeId {
 #[derive(Debug)]
 pub struct DocumentBuilder {
     doc: Document,
-    stack: Vec<NodeId>,
+    /// Open elements with their tag symbols, innermost last; the document
+    /// root sits at the bottom, is never popped and matches no tag.
+    stack: Vec<(NodeId, Sym)>,
+    /// Number of open elements per tag, indexed by [`Sym::index`] (the root
+    /// not counted).
+    open: Vec<u32>,
 }
 
 impl Default for DocumentBuilder {
@@ -169,17 +187,25 @@ impl Default for DocumentBuilder {
 impl DocumentBuilder {
     /// Creates a builder positioned at the document root.
     pub fn new() -> Self {
-        let doc = Document::new();
-        let root = doc.root();
+        Self::from_document(Document::new())
+    }
+
+    /// [`new`](Self::new) with arena room for `nodes` nodes reserved.
+    pub(crate) fn with_capacity(nodes: usize) -> Self {
+        Self::from_document(Document::with_capacity(nodes))
+    }
+
+    fn from_document(doc: Document) -> Self {
         DocumentBuilder {
+            stack: vec![(doc.root(), Sym::UNSET)],
             doc,
-            stack: vec![root],
+            open: Vec::new(),
         }
     }
 
     /// The node new children are currently appended to.
     pub fn current(&self) -> NodeId {
-        *self.stack.last().expect("stack always holds the root")
+        self.stack.last().expect("stack always holds the root").0
     }
 
     /// Current depth of open elements (0 = at document root).
@@ -189,45 +215,44 @@ impl DocumentBuilder {
 
     /// Opens a new element as child of the current node and descends into it.
     pub fn open_element(&mut self, tag: &str, attributes: &[(&str, &str)]) -> NodeId {
-        let attrs = attributes
-            .iter()
-            .map(|(n, v)| Attribute::new(*n, *v))
-            .collect();
-        let id = self.doc.create_element(tag, attrs);
-        let parent = self.current();
-        self.doc
-            .append_child(parent, id)
-            .expect("append to live parent cannot fail");
-        self.stack.push(id);
-        id
+        self.open_element_with(tag, owned_attributes(attributes))
     }
 
     /// Opens an element with already-constructed attributes.
     pub fn open_element_with(&mut self, tag: &str, attributes: Vec<Attribute>) -> NodeId {
-        let id = self.doc.create_element(tag, attributes);
-        let parent = self.current();
-        self.doc
-            .append_child(parent, id)
-            .expect("append to live parent cannot fail");
-        self.stack.push(id);
+        let id = self.void_element_with(tag, attributes);
+        let sym = self.doc.tag_sym(id).expect("elements carry a tag symbol");
+        if self.open.len() <= sym.index() {
+            self.open.resize(sym.index() + 1, 0);
+        }
+        self.open[sym.index()] += 1;
+        self.stack.push((id, sym));
         id
     }
 
     /// Appends a self-contained (void) element without descending into it.
     pub fn void_element(&mut self, tag: &str, attributes: &[(&str, &str)]) -> NodeId {
-        let id = self.open_element(tag, attributes);
-        self.stack.pop();
-        id
+        self.void_element_with(tag, owned_attributes(attributes))
+    }
+
+    /// [`void_element`](Self::void_element) with already-constructed
+    /// attributes.
+    pub(crate) fn void_element_with(&mut self, tag: &str, attributes: Vec<Attribute>) -> NodeId {
+        let data = NodeData::Element {
+            tag: tag.to_string(),
+            attributes,
+        };
+        self.doc.append_new(self.current(), data)
     }
 
     /// Appends a text node to the current element.
     pub fn text(&mut self, content: &str) -> NodeId {
-        let id = self.doc.create_text(content);
-        let parent = self.current();
-        self.doc
-            .append_child(parent, id)
-            .expect("append to live parent cannot fail");
-        id
+        self.text_owned(content.to_string())
+    }
+
+    /// [`text`](Self::text) for content the caller already owns.
+    pub(crate) fn text_owned(&mut self, content: String) -> NodeId {
+        self.doc.append_new(self.current(), NodeData::Text(content))
     }
 
     /// Closes the most recently opened element.
@@ -235,30 +260,41 @@ impl DocumentBuilder {
         if self.stack.len() <= 1 {
             return Err(DomError::BuilderUnderflow);
         }
-        self.stack.pop();
+        self.pop_to(self.stack.len() - 1);
         Ok(())
     }
 
     /// Closes open elements until (and including) the first one with the given
     /// tag name; returns `false` if no such element is open.
     pub fn close_until(&mut self, tag: &str) -> bool {
-        let pos = self.stack[1..]
+        let Some(sym) = self.open_sym(tag) else {
+            return false;
+        };
+        let pos = self
+            .stack
             .iter()
-            .rposition(|&id| self.doc.tag_name(id) == Some(tag));
-        match pos {
-            Some(p) => {
-                self.stack.truncate(p + 1);
-                true
-            }
-            None => false,
-        }
+            .rposition(|&(_, s)| s == sym)
+            .expect("an open count implies a stack entry");
+        self.pop_to(pos);
+        true
     }
 
     /// Returns `true` if an element with the given tag is currently open.
     pub fn has_open(&self, tag: &str) -> bool {
-        self.stack[1..]
-            .iter()
-            .any(|&id| self.doc.tag_name(id) == Some(tag))
+        self.open_sym(tag).is_some()
+    }
+
+    /// The symbol of `tag` if at least one element with that tag is open.
+    fn open_sym(&self, tag: &str) -> Option<Sym> {
+        let sym = self.doc.sym(tag)?;
+        (self.open.get(sym.index()).copied().unwrap_or(0) > 0).then_some(sym)
+    }
+
+    /// Pops the stack down to `len` entries (`len >= 1`: the root stays).
+    fn pop_to(&mut self, len: usize) {
+        for (_, sym) in self.stack.drain(len..) {
+            self.open[sym.index()] -= 1;
+        }
     }
 
     /// Finishes the build, requiring all elements to be closed.
@@ -271,10 +307,16 @@ impl DocumentBuilder {
 
     /// Finishes the build, implicitly closing any elements left open (the
     /// behaviour of a tolerant HTML parser at end of input).
-    pub fn finish_lenient(mut self) -> Document {
-        self.stack.truncate(1);
+    pub fn finish_lenient(self) -> Document {
         self.doc
     }
+}
+
+fn owned_attributes(attributes: &[(&str, &str)]) -> Vec<Attribute> {
+    attributes
+        .iter()
+        .map(|(n, v)| Attribute::new(*n, *v))
+        .collect()
 }
 
 /// Builds an `<html><head/><body>…</body></html>` page around body children.

@@ -58,14 +58,22 @@ impl Default for Document {
 impl Document {
     /// Creates an empty document containing only the synthetic root node.
     pub fn new() -> Self {
+        Self::with_capacity(1)
+    }
+
+    /// [`new`](Self::new) with arena room for `nodes` nodes (the root
+    /// included) reserved up front.
+    pub(crate) fn with_capacity(nodes: usize) -> Self {
         let mut interner = Interner::new();
         let mut root_node = Node::new(NodeData::Element {
             tag: DOCUMENT_ROOT_TAG.to_string(),
             attributes: Vec::new(),
         });
         root_node.tag_sym = interner.intern(DOCUMENT_ROOT_TAG);
+        let mut arena = Vec::with_capacity(nodes.max(1));
+        arena.push(root_node);
         Document {
-            nodes: vec![root_node],
+            nodes: arena,
             root: NodeId(0),
             epoch: 0,
             interner,
@@ -240,12 +248,40 @@ impl Document {
         id
     }
 
+    /// Allocates a node and links it as the last child of `parent` in one
+    /// step: the builders' and the parser's append primitive.
+    ///
+    /// Equivalent to [`alloc`](Self::alloc) followed by
+    /// [`append_child`](Self::append_child), minus what a fresh node makes
+    /// unnecessary: it cannot be an ancestor of `parent`, so there is no
+    /// cycle walk (which costs the depth of `parent`, quadratic over a
+    /// deeply nested page), and the indexes are invalidated once, not
+    /// twice.
+    /// `parent` must be a node of this document.
+    pub(crate) fn append_new(&mut self, parent: NodeId, data: NodeData) -> NodeId {
+        self.invalidate_indexes();
+        let id = NodeId(self.nodes.len() as u32);
+        let prev = self.nodes[parent.index()].last_child;
+        let mut node = Node::new(data);
+        node.parent = Some(parent);
+        node.prev_sibling = prev;
+        self.nodes.push(node);
+        match prev {
+            Some(p) => self.nodes[p.index()].next_sibling = Some(id),
+            None => self.nodes[parent.index()].first_child = Some(id),
+        }
+        self.nodes[parent.index()].last_child = Some(id);
+        self.sync_syms(id);
+        id
+    }
+
     /// Re-derives the interned symbols of a node from its string payload.
     ///
-    /// Called by [`alloc`](Self::alloc) and by every payload-mutating
-    /// operation (`rename_element`, `set_attribute`, `remove_attribute`);
-    /// any new operation that rewrites `NodeData` strings must call it too,
-    /// or symbol-based lookups will silently miss the node.
+    /// Called by [`alloc`](Self::alloc), [`append_new`](Self::append_new)
+    /// and by every payload-mutating operation (`rename_element`,
+    /// `set_attribute`, `remove_attribute`); any new operation that rewrites
+    /// `NodeData` strings must call it too, or symbol-based lookups will
+    /// silently miss the node.
     pub(crate) fn sync_syms(&mut self, id: NodeId) {
         // Split borrow: the arena slot and the interner are disjoint fields.
         let Document {

@@ -102,12 +102,7 @@ impl HashIndex {
     /// Builds the index for `doc` over its (already built) order index.
     pub fn build(doc: &Document, order: &OrderIndex, epoch: u64) -> HashIndex {
         // One content hash per interned string; symbols index this table.
-        let sym_hashes: Vec<u64> = doc
-            .interner()
-            .strings()
-            .iter()
-            .map(|s| str_hash(s))
-            .collect();
+        let sym_hashes: Vec<u64> = doc.interner().strings().map(str_hash).collect();
         let nodes = order.nodes_in_order();
         let mut hashes = vec![0u64; nodes.len()];
         let mut elements = 0usize;

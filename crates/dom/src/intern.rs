@@ -32,14 +32,25 @@
 //! arena allocator re-interns every payload it admits, so there is no way to
 //! construct a live node whose symbols belong to a foreign interner.
 //!
+//! # Storage
+//!
+//! All strings of an interner sit back to back in a single `String`, with
+//! one end offset per symbol, and a hash-keyed map with collision chains
+//! finds them again (see [`Interner`]).  A parsed page interns about a
+//! hundred distinct strings; with one buffer each of them is a copy into
+//! already reserved space, with no heap allocation of its own, and
+//! `resolve` is a slice of contiguous memory.
+//!
 //! Symbols are deliberately kept out of the public equality semantics:
 //! [`crate::NodeData`] and [`crate::Attribute`] compare by their strings, so
 //! structural equality across documents (e.g. [`crate::subtree_equal`]) is
 //! unaffected by interner numbering.
 
+use crate::fx::FxMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// An interned string: a dense `u32` handle into a document's [`Interner`].
 ///
@@ -68,11 +79,25 @@ impl fmt::Display for Sym {
 
 /// A string interner: bidirectional map between strings and dense [`Sym`]s.
 ///
+/// Every interned string lives back to back in one buffer, in symbol
+/// order; `ends[i]` is where symbol `i` stops (and symbol `i + 1` starts).
+/// Lookups go through a map from the string's hash to the newest symbol
+/// with that hash, and `chain` links each symbol to the previous one with
+/// the same hash.  A new string therefore costs no allocation of its own:
+/// it is appended to the buffer, and the vectors and the map grow
+/// geometrically.
+///
 /// See the [module documentation](self) for the ownership contract.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
-    map: HashMap<String, Sym>,
-    strings: Vec<String>,
+    buf: String,
+    ends: Vec<usize>,
+    heads: FxMap<u64, Sym>,
+    chain: Vec<Sym>,
+    /// Hashes the strings.  The strings come from the pages being parsed,
+    /// so the hash is keyed per process (SipHash): a page cannot be
+    /// crafted to put its names and values on one collision chain.
+    hasher: RandomState,
 }
 
 impl Interner {
@@ -83,19 +108,33 @@ impl Interner {
 
     /// Interns a string, returning its (new or existing) symbol.
     pub fn intern(&mut self, s: &str) -> Sym {
-        if let Some(&sym) = self.map.get(s) {
+        let hash = self.hasher.hash_one(s);
+        if let Some(sym) = self.find(hash, s) {
             return sym;
         }
-        let sym = Sym(self.strings.len() as u32);
-        self.strings.push(s.to_string());
-        self.map.insert(s.to_string(), sym);
+        let sym = Sym(self.ends.len() as u32);
+        self.buf.push_str(s);
+        self.ends.push(self.buf.len());
+        self.chain
+            .push(self.heads.insert(hash, sym).unwrap_or(Sym::UNSET));
         sym
     }
 
     /// Looks a string up without interning it.  `None` means the string has
     /// never been seen by this document — no node can match it.
     pub fn get(&self, s: &str) -> Option<Sym> {
-        self.map.get(s).copied()
+        self.find(self.hasher.hash_one(s), s)
+    }
+
+    fn find(&self, hash: u64, s: &str) -> Option<Sym> {
+        let mut sym = *self.heads.get(&hash)?;
+        while sym != Sym::UNSET {
+            if self.resolve(sym) == s {
+                return Some(sym);
+            }
+            sym = self.chain[sym.index()];
+        }
+        None
     }
 
     /// Resolves a symbol back to its string.
@@ -104,23 +143,25 @@ impl Interner {
     ///
     /// Panics if `sym` did not come from this interner (or its clones).
     pub fn resolve(&self, sym: Sym) -> &str {
-        &self.strings[sym.index()]
+        let i = sym.index();
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.buf[start..self.ends[i]]
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
-    /// All interned strings, indexed by [`Sym::index`].  Lets the hash
-    /// index precompute one content hash per symbol in a single pass.
-    pub(crate) fn strings(&self) -> &[String] {
-        &self.strings
+    /// All interned strings in [`Sym::index`] order.  Lets the hash index
+    /// precompute one content hash per symbol in a single pass.
+    pub(crate) fn strings(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.len()).map(|i| self.resolve(Sym(i as u32)))
     }
 
     /// `true` when nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
     }
 }
 
@@ -164,5 +205,23 @@ mod tests {
         assert_eq!(syms[2].index(), 2);
         assert_eq!(syms[3], syms[1]);
         assert_eq!(syms[4], syms[0]);
+    }
+
+    #[test]
+    fn empty_prefix_and_nul_strings_resolve() {
+        let mut i = Interner::new();
+        // Strings that share bytes still get symbols of their own and
+        // resolve back exactly from the shared buffer.
+        let strings = ["", "a", "a\0", "ab", "", "a"];
+        let syms: Vec<Sym> = strings.iter().map(|s| i.intern(s)).collect();
+        assert_eq!(i.len(), 4);
+        assert_eq!(syms[4], syms[0]);
+        assert_eq!(syms[5], syms[1]);
+        for (s, &sym) in strings.iter().zip(&syms) {
+            assert_eq!(i.resolve(sym), *s);
+            assert_eq!(i.get(s), Some(sym));
+        }
+        let all: Vec<&str> = i.strings().collect();
+        assert_eq!(all, ["", "a", "a\0", "ab"]);
     }
 }

@@ -17,10 +17,25 @@
 //! It is not a full HTML5 tree construction algorithm, but it handles the
 //! documents produced by [`crate::serializer::to_html`] (round-trip) and the
 //! kind of markup found on template-driven sites.
+//!
+//! # Cost
+//!
+//! Parsing is linear in the input size, whatever its shape: every page
+//! parses in one pass straight into the arena.  Each node costs one arena
+//! push with its links already set (no ancestor walk, however deep the
+//! page nests), the open-element checks behind implied and stray end tags
+//! are per-tag counts rather than stack scans, and `<script>`/`<style>`
+//! bodies end at a case-insensitive byte search that neither copies nor
+//! lower-cases the rest of the input.  Tag and attribute names are
+//! borrowed from the input and copied once, into the node; text and
+//! attribute values are copied once too, and entity decoding allocates
+//! only for strings that contain a `&`.
 
 use crate::builder::DocumentBuilder;
 use crate::document::Document;
 use crate::error::{DomError, Result};
+use crate::node::Attribute;
+use std::borrow::Cow;
 
 /// Options controlling HTML parsing.
 #[derive(Debug, Clone)]
@@ -59,6 +74,10 @@ const AUTO_CLOSE_SAME: &[&str] = &["li", "p", "td", "th", "tr", "option", "dt", 
 /// Tags with raw-text content.
 const RAW_TEXT: &[&str] = &["script", "style"];
 
+/// Upper bound on the arena slots reserved from the input length, so a large
+/// text-only body cannot reserve memory for nodes it will never have.
+const MAX_RESERVED_NODES: usize = 4096;
+
 /// Parses HTML text into a [`Document`] using default options.
 pub fn parse_html(input: &str) -> Result<Document> {
     Parser::new(input, ParseOptions::default()).parse()
@@ -79,12 +98,15 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str, options: ParseOptions) -> Self {
+        // Template-driven pages run at roughly one node per 27 bytes, so a
+        // typical page fills this reservation without regrowing the arena.
+        let nodes = (input.len() / 24).min(MAX_RESERVED_NODES);
         Parser {
             input,
             bytes: input.as_bytes(),
             pos: 0,
             options,
-            builder: DocumentBuilder::new(),
+            builder: DocumentBuilder::with_capacity(nodes),
         }
     }
 
@@ -111,25 +133,43 @@ impl<'a> Parser<'a> {
     }
 
     fn starts_with(&self, prefix: &str) -> bool {
-        self.input[self.pos..].len() >= prefix.len()
-            && self.input[self.pos..self.pos + prefix.len()].eq_ignore_ascii_case(prefix)
+        self.bytes[self.pos..]
+            .get(..prefix.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(prefix.as_bytes()))
+    }
+
+    /// The input from `start` to the current position.
+    fn since(&self, start: usize) -> &'a str {
+        &self.input[start..self.pos]
+    }
+
+    /// Entity-decodes `raw` if the options ask for it.
+    fn decode(&self, raw: &'a str) -> Cow<'a, str> {
+        if self.options.decode_entities {
+            decode_entities_cow(raw)
+        } else {
+            Cow::Borrowed(raw)
+        }
+    }
+
+    /// Lower-cases a tag or attribute name if the options ask for it,
+    /// copying only names that contain an upper-case ASCII letter.
+    fn name(&self, raw: &'a str) -> Cow<'a, str> {
+        if self.options.lowercase_names && raw.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(raw.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(raw)
+        }
     }
 
     fn parse_text(&mut self) {
         let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != b'<' {
-            self.pos += 1;
-        }
-        let raw = &self.input[start..self.pos];
-        let decoded = if self.options.decode_entities {
-            decode_entities(raw)
-        } else {
-            raw.to_string()
-        };
+        self.skip_to(b'<');
+        let decoded = self.decode(self.since(start));
         if self.options.skip_whitespace_text && decoded.trim().is_empty() {
             return;
         }
-        self.builder.text(&decoded);
+        self.builder.text_owned(decoded.into_owned());
     }
 
     fn parse_markup(&mut self) -> Result<()> {
@@ -170,51 +210,51 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Advances to the next `byte` (or the end of input).
+    fn skip_to(&mut self, byte: u8) {
+        self.pos = self.bytes[self.pos..]
+            .iter()
+            .position(|&b| b == byte)
+            .map_or(self.bytes.len(), |i| self.pos + i);
+    }
+
+    /// Advances past the next `byte` (or to the end of input).
     fn skip_until(&mut self, byte: u8) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != byte {
-            self.pos += 1;
-        }
+        self.skip_to(byte);
         if self.pos < self.bytes.len() {
             self.pos += 1;
         }
     }
 
-    fn parse_end_tag(&mut self) {
-        self.pos += 2; // consume "</"
-        let name_start = self.pos;
+    /// Advances over a tag name: ASCII letters, digits and `-`.
+    fn scan_tag_name(&mut self) -> &'a str {
+        let start = self.pos;
         while self.pos < self.bytes.len()
             && (self.bytes[self.pos].is_ascii_alphanumeric() || self.bytes[self.pos] == b'-')
         {
             self.pos += 1;
         }
-        let mut name = self.input[name_start..self.pos].to_string();
-        if self.options.lowercase_names {
-            name.make_ascii_lowercase();
-        }
+        self.since(start)
+    }
+
+    fn parse_end_tag(&mut self) {
+        self.pos += 2; // consume "</"
+        let raw = self.scan_tag_name();
+        let name = self.name(raw);
         self.skip_until(b'>');
-        // Ignore stray end tags for elements that are not open.
-        if self.builder.has_open(&name) {
-            self.builder.close_until(&name);
-        }
+        // Stray end tags for elements that are not open are ignored.
+        self.builder.close_until(&name);
     }
 
     fn parse_start_tag(&mut self) -> Result<()> {
         self.pos += 1; // consume '<'
-        let name_start = self.pos;
-        while self.pos < self.bytes.len()
-            && (self.bytes[self.pos].is_ascii_alphanumeric() || self.bytes[self.pos] == b'-')
-        {
-            self.pos += 1;
-        }
-        if self.pos == name_start {
+        let raw = self.scan_tag_name();
+        if raw.is_empty() {
             return Err(self.error("expected tag name after '<'"));
         }
-        let mut name = self.input[name_start..self.pos].to_string();
-        if self.options.lowercase_names {
-            name.make_ascii_lowercase();
-        }
+        let name = self.name(raw);
 
-        let mut attributes: Vec<(String, String)> = Vec::new();
+        let mut attributes: Vec<Attribute> = Vec::new();
         let mut self_closing = false;
         loop {
             self.skip_whitespace();
@@ -233,8 +273,8 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    if let Some((n, v)) = self.parse_attribute() {
-                        attributes.push((n, v));
+                    if let Some(attribute) = self.parse_attribute() {
+                        attributes.push(attribute);
                     } else {
                         // Could not make progress: skip one byte to avoid an
                         // infinite loop on malformed input.
@@ -244,37 +284,32 @@ impl<'a> Parser<'a> {
             }
         }
 
-        // Implied end tags: <li> after <li>, <p> after <p>, etc.
-        if AUTO_CLOSE_SAME.contains(&name.as_str()) && self.builder.has_open(&name) {
-            // Only auto-close if the open element of the same name is the
-            // innermost open element of that name at the same list level; the
-            // simple heuristic of closing up to it is what tag-soup parsers do.
+        // Implied end tags: <li> after <li>, <p> after <p>, etc.  Closing up
+        // to the innermost open element of the same name is the simple
+        // heuristic tag-soup parsers use.
+        if AUTO_CLOSE_SAME.contains(&&*name) {
             self.builder.close_until(&name);
         }
 
-        let attr_refs: Vec<(&str, &str)> = attributes
-            .iter()
-            .map(|(n, v)| (n.as_str(), v.as_str()))
-            .collect();
-        let is_void = VOID_ELEMENTS.contains(&name.as_str());
-        if is_void || self_closing {
-            self.builder.void_element(&name, &attr_refs);
+        if self_closing || VOID_ELEMENTS.contains(&&*name) {
+            self.builder.void_element_with(&name, attributes);
             return Ok(());
         }
 
-        self.builder.open_element(&name, &attr_refs);
+        self.builder.open_element_with(&name, attributes);
 
-        if RAW_TEXT.contains(&name.as_str()) {
+        if RAW_TEXT.contains(&&*name) {
             self.parse_raw_text(&name);
         }
         Ok(())
     }
 
+    /// Takes everything up to the matching end tag (any case) as one text
+    /// node, without copying or lower-casing the rest of the input.
     fn parse_raw_text(&mut self, tag: &str) {
-        let close = format!("</{tag}");
-        let rest = &self.input[self.pos..];
-        let end = rest.to_ascii_lowercase().find(&close).unwrap_or(rest.len());
-        let content = &rest[..end];
+        let rest = &self.bytes[self.pos..];
+        let end = find_end_tag(rest, tag.as_bytes()).unwrap_or(rest.len());
+        let content = &self.input[self.pos..self.pos + end];
         if !content.trim().is_empty() {
             self.builder.text(content);
         }
@@ -292,7 +327,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_attribute(&mut self) -> Option<(String, String)> {
+    fn parse_attribute(&mut self) -> Option<Attribute> {
         let name_start = self.pos;
         while self.pos < self.bytes.len() {
             let b = self.bytes[self.pos];
@@ -304,24 +339,22 @@ impl<'a> Parser<'a> {
         if self.pos == name_start {
             return None;
         }
-        let mut name = self.input[name_start..self.pos].to_string();
-        if self.options.lowercase_names {
-            name.make_ascii_lowercase();
-        }
+        let name = self.name(self.since(name_start)).into_owned();
         self.skip_whitespace();
         if self.peek(0) != Some(b'=') {
-            return Some((name, String::new()));
+            return Some(Attribute {
+                name,
+                value: String::new(),
+            });
         }
         self.pos += 1; // consume '='
         self.skip_whitespace();
-        let value = match self.peek(0) {
+        let raw = match self.peek(0) {
             Some(q @ (b'"' | b'\'')) => {
                 self.pos += 1;
                 let start = self.pos;
-                while self.pos < self.bytes.len() && self.bytes[self.pos] != q {
-                    self.pos += 1;
-                }
-                let v = self.input[start..self.pos].to_string();
+                self.skip_to(q);
+                let v = self.since(start);
                 if self.pos < self.bytes.len() {
                     self.pos += 1; // closing quote
                 }
@@ -336,16 +369,31 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                self.input[start..self.pos].to_string()
+                self.since(start)
             }
         };
-        let value = if self.options.decode_entities {
-            decode_entities(&value)
-        } else {
-            value
-        };
-        Some((name, value))
+        let value = self.decode(raw).into_owned();
+        Some(Attribute { name, value })
     }
+}
+
+/// Offset of the first `</tag` in `haystack`, matching `tag` (lower-case)
+/// in any case.
+fn find_end_tag(haystack: &[u8], tag: &[u8]) -> Option<usize> {
+    let mut from = 0;
+    while let Some(i) = haystack[from..].iter().position(|&b| b == b'<') {
+        let at = from + i;
+        let name = &haystack[at + 1..];
+        if name.first() == Some(&b'/')
+            && name
+                .get(1..=tag.len())
+                .is_some_and(|n| n.eq_ignore_ascii_case(tag))
+        {
+            return Some(at);
+        }
+        from = at + 1;
+    }
+    None
 }
 
 /// Decodes the most common HTML character entities.
@@ -353,56 +401,58 @@ impl<'a> Parser<'a> {
 /// Supports the five XML entities, `&nbsp;`, and decimal/hexadecimal numeric
 /// character references.  Unknown entities are left untouched.
 pub fn decode_entities(input: &str) -> String {
-    if !input.contains('&') {
-        return input.to_string();
-    }
+    decode_entities_cow(input).into_owned()
+}
+
+/// [`decode_entities`] that borrows `input` when it holds no `&`.
+pub(crate) fn decode_entities_cow(input: &str) -> Cow<'_, str> {
+    let Some(first) = input.find('&') else {
+        return Cow::Borrowed(input);
+    };
     let mut out = String::with_capacity(input.len());
-    let mut chars = input.char_indices().peekable();
-    while let Some((i, c)) = chars.next() {
-        if c != '&' {
-            out.push(c);
-            continue;
-        }
-        // Find the terminating ';' within a small window.
-        let rest = &input[i + 1..];
-        let semi = rest.char_indices().take(12).find(|&(_, ch)| ch == ';');
-        let Some((len, _)) = semi else {
-            out.push('&');
-            continue;
-        };
-        let entity = &rest[..len];
-        let replacement: Option<String> = match entity {
-            "amp" => Some("&".into()),
-            "lt" => Some("<".into()),
-            "gt" => Some(">".into()),
-            "quot" => Some("\"".into()),
-            "apos" => Some("'".into()),
-            "nbsp" => Some(" ".into()),
-            _ if entity.starts_with('#') => {
-                let code = if let Some(hex) = entity
-                    .strip_prefix("#x")
-                    .or_else(|| entity.strip_prefix("#X"))
-                {
-                    u32::from_str_radix(hex, 16).ok()
-                } else {
-                    entity[1..].parse::<u32>().ok()
-                };
-                code.and_then(char::from_u32).map(|c| c.to_string())
+    out.push_str(&input[..first]);
+    let mut rest = &input[first..];
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        let after = &rest[amp + 1..];
+        match decode_entity(after) {
+            Some((c, used)) => {
+                out.push(c);
+                rest = &after[used..];
             }
-            _ => None,
-        };
-        match replacement {
-            Some(r) => {
-                out.push_str(&r);
-                // Skip the entity body and the ';'.
-                for _ in 0..=len {
-                    chars.next();
-                }
+            None => {
+                out.push('&');
+                rest = after;
             }
-            None => out.push('&'),
         }
     }
-    out
+    out.push_str(rest);
+    Cow::Owned(out)
+}
+
+/// Decodes the entity at the start of `after` (the text following a `&`):
+/// the character and the bytes it spans, `;` included.  The `;` must come
+/// within the next 12 characters.
+fn decode_entity(after: &str) -> Option<(char, usize)> {
+    let (len, _) = after.char_indices().take(12).find(|&(_, ch)| ch == ';')?;
+    let entity = &after[..len];
+    let c = match entity {
+        "amp" => '&',
+        "lt" => '<',
+        "gt" => '>',
+        "quot" => '"',
+        "apos" => '\'',
+        "nbsp" => ' ',
+        _ => {
+            let number = entity.strip_prefix('#')?;
+            let code = match number.strip_prefix(['x', 'X']) {
+                Some(hex) => u32::from_str_radix(hex, 16).ok()?,
+                None => number.parse::<u32>().ok()?,
+            };
+            char::from_u32(code)?
+        }
+    };
+    Some((c, len + 1))
 }
 
 #[cfg(test)]
@@ -548,6 +598,15 @@ mod tests {
         let doc = parse_html("<p>1 < 2</p>").unwrap();
         let p = doc.elements_by_tag("p")[0];
         assert_eq!(doc.normalized_text(p), "1 < 2");
+    }
+
+    #[test]
+    fn multibyte_character_after_markup_open() {
+        // "<!" followed by a 3-byte character: the comment check must not
+        // slice the input inside the character.
+        let doc = parse_html("<p>a<!€>b</p>").unwrap();
+        let p = doc.elements_by_tag("p")[0];
+        assert_eq!(doc.normalized_text(p), "ab");
     }
 
     #[test]
