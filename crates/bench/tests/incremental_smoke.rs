@@ -3,8 +3,7 @@
 //! than maintaining from scratch.
 //!
 //! The workload deliberately repeats each archive snapshot so consecutive
-//! epochs are content-identical — the regime the whole-document memos and
-//! the epoch echo are built for.  Wall-clock comparisons on a shared CI box
+//! epochs are content-identical — the regime the epoch echo is built for.  Wall-clock comparisons on a shared CI box
 //! are noisy, so the gate takes the best of several runs of each mode and
 //! allows a generous slack factor; the real regime (incremental several
 //! times faster) passes with a wide margin, while a regression that makes

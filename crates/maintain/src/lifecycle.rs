@@ -22,7 +22,7 @@
 use crate::drift::{DriftClass, DriftClassifier, DriftConfig, DriftReport};
 use crate::incremental::IncrementalState;
 use crate::repair::{RepairAction, RepairConfig, Repairer};
-use crate::verify::{HealthReport, LastKnownGood, Verifier, VerifyConfig};
+use crate::verify::{CompiledVerify, HealthReport, LastKnownGood, Verifier, VerifyConfig};
 use crate::PageVersion;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -130,12 +130,14 @@ pub struct MaintainConfig {
     /// Consecutive failed repairs with drift class
     /// [`DriftClass::TargetRemoved`] before the wrapper retires.
     pub retire_after: usize,
-    /// Enables the incremental-replay caches: verify, extraction, capture and
-    /// re-induction memoization keyed by content fingerprints, plus the
-    /// epoch-echo replay of identical snapshots (the `incremental` module).
-    /// Outcomes are byte-identical with the caches on or off; this switch
-    /// exists for the equivalence battery and for bisecting.  Defaults to
-    /// `true`.
+    /// Enables the epoch echo (the `incremental` module): a snapshot
+    /// identical to the last healthy one under the same bundle revision
+    /// replays that epoch's verdict, and its last-known-good state rolls
+    /// forward without a re-capture.  Off, every snapshot is verified and
+    /// captured from scratch; both modes share the per-revision compiled
+    /// verification and the attribute census index.  Outcomes are
+    /// byte-identical either way; this switch is the from-scratch reference
+    /// for the equivalence battery and the benches.  Defaults to `true`.
     pub incremental: bool,
 }
 
@@ -246,6 +248,9 @@ impl Maintainer {
         let run_started = Instant::now();
         let mut inc = self.config.incremental.then(IncrementalState::new);
 
+        // The live revision's expressions, parsed once; rebuilt only when a
+        // repair installs a new revision.
+        let mut compiled = CompiledVerify::new(&bundle);
         let mut bundle = bundle;
         let mut lkg = seed_lkg;
         let mut state = seed_state;
@@ -265,13 +270,14 @@ impl Maintainer {
                 (Some(state), Some(fp)) => state.verify(
                     cx,
                     &verifier,
-                    &bundle,
+                    &compiled,
+                    bundle.revision,
                     &page.doc,
                     fp,
                     page.day,
                     lkg.as_ref(),
                 ),
-                _ => verifier.check_with(cx, &bundle, &page.doc, page.day, lkg.as_ref()),
+                _ => verifier.check_with_compiled(cx, &compiled, &page.doc, page.day, lkg.as_ref()),
             };
             obs.verify_latency_us.observe_us(verify_started.elapsed());
 
@@ -304,18 +310,10 @@ impl Maintainer {
                     // reproduce the live state field for field.
                     Some(lkg.as_ref().unwrap().advance_identical(page.day))
                 } else {
-                    let fresh = match (inc.as_mut(), doc_fp) {
-                        (Some(state), Some(fp)) => {
-                            state.record_lkg_origin(fp, bundle.revision);
-                            state.capture_for(&bundle, &page.doc, fp, page.day, &health.extracted)
-                        }
-                        _ => LastKnownGood::capture_for(
-                            &bundle,
-                            &page.doc,
-                            page.day,
-                            &health.extracted,
-                        ),
-                    };
+                    if let (Some(state), Some(fp)) = (inc.as_mut(), doc_fp) {
+                        state.record_lkg_origin(fp, bundle.revision);
+                    }
+                    let fresh = compiled.capture(&page.doc, page.day, &health.extracted);
                     Some(match lkg.as_ref() {
                         Some(previous) => LastKnownGood::advance(previous, fresh),
                         None => fresh,
@@ -353,20 +351,13 @@ impl Maintainer {
             obs.classify_latency_us
                 .observe_us(classify_started.elapsed());
             obs.drift_counter(drift.class).inc();
-            if drift.class == DriftClass::Redesign {
-                // A redesign breaks the recurring-page-shape assumption;
-                // drop the memos rather than let them grow cold.
-                if let Some(state) = inc.as_mut() {
-                    state.invalidate();
-                }
-            }
             let mut repair_action = None;
             let mut repaired = false;
             let mut extracted = health.extracted.clone();
 
             if state != WrapperState::Retired {
                 let repair_started = Instant::now();
-                let repair_outcome = repairer.repair_with_cached(
+                let repair_outcome = repairer.repair_with(
                     cx,
                     &bundle,
                     &page.doc,
@@ -374,7 +365,6 @@ impl Maintainer {
                     lkg.as_ref(),
                     &drift,
                     inducer,
-                    inc.as_mut(),
                 );
                 obs.repair_latency_us.observe_us(repair_started.elapsed());
                 match repair_outcome {
@@ -386,24 +376,11 @@ impl Maintainer {
                             cause: outcome.action.provenance(page.day),
                             bundle: bundle.clone(),
                         });
-                        let fresh = match (inc.as_mut(), doc_fp) {
-                            (Some(state), Some(fp)) => {
-                                state.record_lkg_origin(fp, bundle.revision);
-                                state.capture_for(
-                                    &bundle,
-                                    &page.doc,
-                                    fp,
-                                    page.day,
-                                    &outcome.extracted,
-                                )
-                            }
-                            _ => LastKnownGood::capture_for(
-                                &bundle,
-                                &page.doc,
-                                page.day,
-                                &outcome.extracted,
-                            ),
-                        };
+                        compiled = CompiledVerify::new(&bundle);
+                        if let (Some(state), Some(fp)) = (inc.as_mut(), doc_fp) {
+                            state.record_lkg_origin(fp, bundle.revision);
+                        }
+                        let fresh = compiled.capture(&page.doc, page.day, &outcome.extracted);
                         lkg = Some(match lkg.as_ref() {
                             Some(previous) => LastKnownGood::advance(previous, fresh),
                             None => fresh,
@@ -453,7 +430,6 @@ impl Maintainer {
             let stats = state.take_stats();
             obs.cache_hits.add(stats.hits);
             obs.cache_misses.add(stats.misses);
-            obs.cache_invalidations.add(stats.invalidations);
             wi_obs::record_span(
                 "maintain.incremental",
                 run_started,
@@ -461,7 +437,6 @@ impl Maintainer {
                     ("epochs", pages.len() as u64),
                     ("hits", stats.hits),
                     ("misses", stats.misses),
-                    ("invalidations", stats.invalidations),
                 ],
             );
         }

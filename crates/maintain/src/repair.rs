@@ -7,7 +7,6 @@
 //! never install a repair that does not restore a healthy extraction.
 
 use crate::drift::{DriftReport, FixKind};
-use crate::incremental::{IncrementalState, InduceLookup};
 use crate::verify::{LastKnownGood, Verifier};
 use serde::{Deserialize, Serialize};
 use wi_dom::{Document, NodeId};
@@ -125,95 +124,17 @@ impl Repairer {
         drift: &DriftReport,
         inducer: &WrapperInducer,
     ) -> Option<RepairOutcome> {
-        self.repair_with_cached(cx, bundle, doc, day, lkg, drift, inducer, None)
-    }
-
-    /// Like [`repair_with`](Repairer::repair_with), threading the
-    /// maintenance loop's incremental state so repeated re-induction
-    /// attempts against recurring page shapes replay their memoized outcome
-    /// (including memoized *failure* — a page shape that defeated induction
-    /// once will defeat it again).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn repair_with_cached(
-        &self,
-        cx: &mut EvalContext,
-        bundle: &WrapperBundle,
-        doc: &Document,
-        day: i64,
-        lkg: Option<&LastKnownGood>,
-        drift: &DriftReport,
-        inducer: &WrapperInducer,
-        inc: Option<&mut IncrementalState>,
-    ) -> Option<RepairOutcome> {
         if self.config.reanchor {
             if let Some(outcome) = self.try_reanchor(cx, bundle, doc, day, lkg, drift) {
                 return Some(outcome);
             }
         }
         if self.config.reinduce {
-            if let Some(outcome) = self.try_reinduce_cached(cx, bundle, doc, day, lkg, inducer, inc)
-            {
+            if let Some(outcome) = self.try_reinduce(cx, bundle, doc, day, lkg, inducer) {
                 return Some(outcome);
             }
         }
         None
-    }
-
-    /// Memoizing front for [`try_reinduce`](Repairer::try_reinduce).  The
-    /// re-induction outcome is a pure function of the document content and
-    /// the harvest source (`lkg.texts`, `lkg.count`): induction, the
-    /// majority rule and validation read nothing else, and
-    /// [`WrapperBundle::revised`] replaces the entries wholesale, so the
-    /// current bundle only contributes label/params/revision — which are
-    /// re-applied on every hit.
-    #[allow(clippy::too_many_arguments)]
-    fn try_reinduce_cached(
-        &self,
-        cx: &mut EvalContext,
-        bundle: &WrapperBundle,
-        doc: &Document,
-        day: i64,
-        lkg: Option<&LastKnownGood>,
-        inducer: &WrapperInducer,
-        mut inc: Option<&mut IncrementalState>,
-    ) -> Option<RepairOutcome> {
-        let key = match (inc.as_ref(), lkg) {
-            (Some(_), Some(lkg)) => Some(IncrementalState::induce_key(doc.content_hash(), lkg)),
-            _ => None,
-        };
-        if let (Some(state), Some(key)) = (inc.as_deref_mut(), key) {
-            match state.induce_lookup(key, doc) {
-                InduceLookup::Hit(None) => return None,
-                InduceLookup::Hit(Some((entries, harvested, extracted))) => {
-                    let action = RepairAction::Reinduced { harvested };
-                    let candidate = bundle.revised(entries, action.provenance(day));
-                    return Some(RepairOutcome {
-                        action,
-                        bundle: candidate,
-                        extracted,
-                    });
-                }
-                InduceLookup::Miss => {}
-            }
-        }
-        let outcome = self.try_reinduce(cx, bundle, doc, day, lkg, inducer);
-        if let (Some(state), Some(key)) = (inc, key) {
-            let memo = outcome.as_ref().map(|o| {
-                let harvested = match &o.action {
-                    RepairAction::Reinduced { harvested } => *harvested,
-                    RepairAction::Reanchored(_) => {
-                        unreachable!("try_reinduce only produces Reinduced")
-                    }
-                };
-                (
-                    o.bundle.entries.as_slice(),
-                    harvested,
-                    o.extracted.as_slice(),
-                )
-            });
-            state.induce_admit(key, doc, memo);
-        }
-        outcome
     }
 
     /// Installs the classifier's validated substitutions: every entry with a

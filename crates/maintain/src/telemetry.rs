@@ -37,15 +37,12 @@ pub(crate) struct MaintainMetrics {
     /// `wi_maintain_target_gone_streak` — the retirement countdown after
     /// the most recent epoch (last writer wins across parallel runs).
     pub target_gone_streak: Gauge,
-    /// `wi_maintain_cache_hits_total` — incremental-replay cache hits,
-    /// aggregated across the `IncrementalState` memos (verify, extraction,
-    /// lkg capture and re-induction).
+    /// `wi_maintain_cache_hits_total` — snapshots whose verdict the epoch
+    /// echo replayed (identical to the last healthy one, same revision).
     pub cache_hits: Counter,
-    /// `wi_maintain_cache_misses_total` — same layers, misses.
+    /// `wi_maintain_cache_misses_total` — snapshots the incremental loop
+    /// verified in full.
     pub cache_misses: Counter,
-    /// `wi_maintain_cache_invalidations_total` — wholesale evictions on
-    /// redesign-class drift.
-    pub cache_invalidations: Counter,
 }
 
 impl MaintainMetrics {
@@ -111,7 +108,6 @@ pub(crate) fn maintain_metrics() -> &'static MaintainMetrics {
             target_gone_streak: r.gauge("wi_maintain_target_gone_streak", &[]),
             cache_hits: r.counter("wi_maintain_cache_hits_total", &[]),
             cache_misses: r.counter("wi_maintain_cache_misses_total", &[]),
-            cache_invalidations: r.counter("wi_maintain_cache_invalidations_total", &[]),
         }
     })
 }

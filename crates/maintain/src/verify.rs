@@ -120,74 +120,7 @@ impl LastKnownGood {
         day: i64,
         nodes: &[NodeId],
     ) -> LastKnownGood {
-        let mut anchors: Vec<(String, String)> = Vec::new();
-        for entry in &bundle.entries {
-            let Ok(query) = parse_query(&entry.expression) else {
-                continue;
-            };
-            for step in &query.steps {
-                for predicate in &step.predicates {
-                    if let Predicate::StringCompare {
-                        func: StringFunction::Equals,
-                        source: TextSource::Attribute(name),
-                        value,
-                    } = predicate
-                    {
-                        let pair = (name.clone(), value.clone());
-                        if !anchors.contains(&pair) {
-                            anchors.push(pair);
-                        }
-                    }
-                }
-            }
-        }
-        Self::capture_with_anchors(doc, day, nodes, anchors)
-    }
-
-    /// The body of [`capture_for`](LastKnownGood::capture_for) with the
-    /// anchor pairs already extracted (the incremental loop keeps them
-    /// parsed once per revision in its [`CompiledVerify`]).  Both censuses
-    /// come from the document's attribute index (see `wi_dom::attrs`): the
-    /// value census is a shared `Arc` clone and each carrier count one
-    /// integer-keyed probe, where the naive composition walked the document
-    /// once for the census and once per anchor.
-    pub(crate) fn capture_with_anchors(
-        doc: &Document,
-        day: i64,
-        nodes: &[NodeId],
-        anchors: Vec<(String, String)>,
-    ) -> LastKnownGood {
-        let mut tags: Vec<String> = nodes
-            .iter()
-            .filter_map(|&n| doc.tag_name(n).map(str::to_string))
-            .collect();
-        tags.sort();
-        tags.dedup();
-        LastKnownGood {
-            day,
-            count: nodes.len(),
-            texts: nodes.iter().map(|&n| doc.normalized_text(n)).collect(),
-            tags,
-            doc_elements: doc.element_count(),
-            rotates: false,
-            stable_observations: 0,
-            attribute_values: doc.attribute_value_census().clone(),
-            anchor_carriers: anchors
-                .into_iter()
-                .map(|(attribute, value)| {
-                    let count = doc.carrier_count(&attribute, &value);
-                    let neighborhood = capture_neighborhood(doc, &attribute, &value, nodes);
-                    AnchorCarrier {
-                        attribute,
-                        value,
-                        count,
-                        stable_observations: 0,
-                        neighborhood,
-                        neighborhood_stable: 0,
-                    }
-                })
-                .collect(),
-        }
+        CompiledVerify::new(bundle).capture(doc, day, nodes)
     }
 
     /// Rolls the state forward to a newer healthy capture, preserving what
@@ -529,7 +462,7 @@ impl Verifier {
     }
 
     /// Checks one snapshot against a bundle compiled once with
-    /// [`CompiledVerify::new`] — the incremental loop replays the same
+    /// [`CompiledVerify::new`] — the maintenance loop replays the same
     /// revision over every snapshot of a timeline, so the expressions parse
     /// once per revision instead of twice per epoch.
     pub(crate) fn check_with_compiled(
@@ -539,24 +472,6 @@ impl Verifier {
         doc: &Document,
         day: i64,
         lkg: Option<&LastKnownGood>,
-    ) -> HealthReport {
-        self.check_with_lazy(cx, compiled, doc, day, lkg, |cx| compiled.extract(cx, doc))
-    }
-
-    /// The body of [`check_with_compiled`](Verifier::check_with_compiled)
-    /// with the extraction step abstracted out: `extract` runs only when the
-    /// page passes the broken-capture gate, and the incremental loop
-    /// substitutes a closure that replays a memoized extraction (a pure
-    /// function of document content and bundle revision) instead of
-    /// re-evaluating the expressions.
-    pub(crate) fn check_with_lazy(
-        &self,
-        cx: &mut EvalContext,
-        compiled: &CompiledVerify,
-        doc: &Document,
-        day: i64,
-        lkg: Option<&LastKnownGood>,
-        extract: impl FnOnce(&mut EvalContext) -> Result<Vec<NodeId>, String>,
     ) -> HealthReport {
         let mut signals = Vec::new();
 
@@ -573,7 +488,7 @@ impl Verifier {
             };
         }
 
-        let extracted = match extract(cx) {
+        let extracted = match compiled.extract(cx, doc) {
             Ok(nodes) => nodes,
             Err(message) => {
                 signals.push(HealthSignal::ExtractionFailed(message));
@@ -683,10 +598,8 @@ pub(crate) struct CompiledVerify {
     /// Deduplicated equality/prefix anchors of all entries.
     probes: Vec<AnchorProbe>,
     /// Deduplicated `(attribute, value)` equality-anchor pairs, in first-
-    /// occurrence order — exactly the census list
-    /// [`LastKnownGood::capture_for`] re-parses the entries for on every
-    /// capture.
-    pub(crate) anchor_pairs: Vec<(String, String)>,
+    /// occurrence order: the carrier census list of [`capture`](Self::capture).
+    anchor_pairs: Vec<(String, String)>,
 }
 
 impl CompiledVerify {
@@ -757,6 +670,27 @@ impl CompiledVerify {
                 .map_err(|e| e.to_string()),
             Err(message) => Err(message.clone()),
         }
+    }
+
+    /// [`LastKnownGood::capture`] plus the carrier census of every attribute
+    /// anchor of the compiled bundle.  Both censuses come from the
+    /// document's attribute index (see `wi_dom::attrs`): the value census is
+    /// a shared `Arc` clone and each carrier count one integer-keyed probe.
+    pub(crate) fn capture(&self, doc: &Document, day: i64, nodes: &[NodeId]) -> LastKnownGood {
+        let mut lkg = LastKnownGood::capture(doc, day, nodes);
+        lkg.anchor_carriers = self
+            .anchor_pairs
+            .iter()
+            .map(|(attribute, value)| AnchorCarrier {
+                attribute: attribute.clone(),
+                value: value.clone(),
+                count: doc.carrier_count(attribute, value),
+                stable_observations: 0,
+                neighborhood: capture_neighborhood(doc, attribute, value, nodes),
+                neighborhood_stable: 0,
+            })
+            .collect();
+        lkg
     }
 }
 

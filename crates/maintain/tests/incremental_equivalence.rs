@@ -116,13 +116,15 @@ enum Mutation {
     /// Rename the anchor class (attribute drift → re-anchor repair).
     Rename,
     /// Suffix the anchor class with a version marker (`p` → `p-r1`), the
-    /// shape the classifier reports as [`DriftClass::Redesign`] — the one
-    /// class on which the loop flushes its incremental memos.
+    /// shape the classifier reports as [`DriftClass::Redesign`].
     Redesign,
     /// Drop the target block (target removed → degradation/retirement).
     RemoveBlock,
     /// A broken capture (error page).
     Broken,
+    /// Re-serve the seed snapshot byte for byte (used by the fixed
+    /// timelines only).
+    Restore,
 }
 
 fn arb_mutations() -> impl Strategy<Value = Vec<Mutation>> {
@@ -191,6 +193,12 @@ fn timeline(mutations: &[Mutation]) -> Vec<PageVersion> {
                 "<html><body><p>Page cannot be crawled or displayed</p></body></html>",
             )
             .unwrap(),
+            Mutation::Restore => {
+                class = "p".to_string();
+                generation = 0;
+                with_block = true;
+                render(&class, generation, with_block)
+            }
         };
         pages.push(PageVersion { day, doc });
     }
@@ -219,8 +227,8 @@ fn run_both(mutations: &[Mutation]) -> (MaintenanceLog, MaintenanceLog) {
     (inc, full)
 }
 
-/// A redesign in the middle of a timeline takes the loop's memo-flush
-/// branch; the snapshots after it must still replay identically.
+/// A redesign in the middle of a timeline repairs the bundle to a new
+/// revision; the snapshots after it must still replay identically.
 #[test]
 fn redesign_flush_is_cache_invariant() {
     let mutations = [
@@ -241,6 +249,53 @@ fn redesign_flush_is_cache_invariant() {
         inc.outcomes.iter().map(|o| o.drift).collect::<Vec<_>>()
     );
     assert_eq!(format!("{inc:#?}"), format!("{full:#?}"));
+}
+
+/// Fixed timelines for the shapes that re-verify or re-capture the same
+/// document: an unrepairable flagged page served again and again (Degraded,
+/// then Retired), identical snapshots right after a repair bumped the
+/// revision (the repair's capture rolls forward identically), an identical
+/// snapshot after a broken capture (the echo carries across it), and the
+/// seed snapshot served again after a repair (its echo belongs to the old
+/// revision and must not replay).
+#[test]
+fn recurring_snapshots_replay_identically() {
+    use wi_maintain::WrapperState;
+    let cases: [&[Mutation]; 4] = [
+        &[
+            Mutation::RemoveBlock,
+            Mutation::Identical,
+            Mutation::Identical,
+            Mutation::Identical,
+        ],
+        &[Mutation::Rename, Mutation::Identical, Mutation::Identical],
+        &[Mutation::Identical, Mutation::Broken, Mutation::Identical],
+        &[Mutation::Rename, Mutation::Restore],
+    ];
+    let [removed, renamed, broken, restored] = cases.map(|mutations| {
+        let (inc, full) = run_both(mutations);
+        assert_eq!(
+            format!("{inc:#?}"),
+            format!("{full:#?}"),
+            "diverged on {mutations:?}"
+        );
+        inc
+    });
+
+    let states: Vec<_> = removed.outcomes.iter().map(|o| o.state).collect();
+    assert!(
+        states.contains(&WrapperState::Degraded) && states.last() == Some(&WrapperState::Retired),
+        "the removed target did not degrade and retire: {states:?}"
+    );
+    assert!(
+        renamed.outcomes[1].repaired && !renamed.outcomes[2].flagged,
+        "the rename was not repaired before the identical snapshots"
+    );
+    assert!(broken.outcomes[2].page_broken && !broken.outcomes[3].flagged);
+    assert!(
+        restored.outcomes[1].repaired && restored.outcomes[2].flagged,
+        "the seed snapshot must fail the repaired revision"
+    );
 }
 
 proptest! {

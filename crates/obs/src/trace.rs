@@ -361,8 +361,19 @@ mod tests {
     // The global journal is process-wide, so these tests key their
     // assertions on unique span names rather than absolute counts.
 
+    /// Serializes the tests that flip the process-wide trace mode: a
+    /// concurrent `set_mode(Mode::Off)` would drop another test's records.
+    static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn mode_lock() -> std::sync::MutexGuard<'static, ()> {
+        MODE_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn disabled_mode_emits_nothing() {
+        let _mode = mode_lock();
         set_mode(Mode::Off);
         for _ in 0..100 {
             let _g = span("trace.test.disabled");
@@ -376,6 +387,7 @@ mod tests {
 
     #[test]
     fn spans_events_and_fields_round_trip_through_the_journal() {
+        let _mode = mode_lock();
         set_mode(Mode::On);
         {
             let _g = span("trace.test.guard");
@@ -392,6 +404,7 @@ mod tests {
 
     #[test]
     fn sampling_records_one_in_n() {
+        let _mode = mode_lock();
         set_mode(Mode::Sample(10));
         for _ in 0..100 {
             event("trace.test.sampled", &[]);
@@ -409,6 +422,7 @@ mod tests {
 
     #[test]
     fn slow_spans_enter_the_top_k() {
+        let _mode = mode_lock();
         set_mode(Mode::On);
         set_slow_threshold_us(0);
         record_span("trace.test.slow", Instant::now(), &[]);
