@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::{Range, RangeInclusive};
 
-/// A size specification for [`vec`]: an exact length or a length range.
+/// A size specification for [`vec()`]: an exact length or a length range.
 pub trait SizeRange {
     /// Picks a concrete length.
     fn pick(&self, rng: &mut TestRng) -> usize;
@@ -36,7 +36,7 @@ pub fn vec<S: Strategy, R: SizeRange>(element: S, size: R) -> VecStrategy<S, R> 
     VecStrategy { element, size }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 pub struct VecStrategy<S, R> {
     element: S,
     size: R,

@@ -5,10 +5,10 @@
 //! * **canonical wrappers** — the absolute root-to-target paths that browser
 //!   developer tools emit ([`canonical`], [`devtools`]),
 //! * the probabilistic **tree-edit robustness** approach of Dalvi,
-//!   Bohannon & Sha (SIGMOD 2009, reference [6]) — re-implemented here as a
+//!   Bohannon & Sha (SIGMOD 2009, reference \[6\]) — re-implemented here as a
 //!   candidate enumerator over a weaker XPath fragment ranked by survival
 //!   probability under a learned change model ([`treeedit`]),
-//! * **WEIR** (Bronzi et al., PVLDB 2013, reference [2]) — a redundancy-based
+//! * **WEIR** (Bronzi et al., PVLDB 2013, reference \[2\]) — a redundancy-based
 //!   automatic inducer that needs several same-template pages and emits an
 //!   unranked set of absolute and template-text-relative expressions
 //!   ([`weir`]).

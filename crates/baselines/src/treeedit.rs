@@ -1,6 +1,6 @@
 //! A re-implementation of the probabilistic tree-edit approach of Dalvi,
 //! Bohannon & Sha ("Robust web extraction: an approach based on a
-//! probabilistic tree-edit model", SIGMOD 2009 — reference [6] of the paper).
+//! probabilistic tree-edit model", SIGMOD 2009 — reference \[6\] of the paper).
 //!
 //! The original system learns a site-specific model of how pages change
 //! (probabilities of node insertion, deletion and attribute change) from a

@@ -1,6 +1,6 @@
 //! A re-implementation of the WEIR-style redundancy-based inducer (Bronzi,
 //! Crescenzi, Merialdo, Papotti — "Extraction and integration of partially
-//! overlapping web sources", PVLDB 2013; reference [2] of the paper).
+//! overlapping web sources", PVLDB 2013; reference \[2\] of the paper).
 //!
 //! As described in Section 6.1 of the paper, WEIR:
 //!

@@ -5,8 +5,10 @@
 //! first-class artifact that can be saved, shipped, audited and reloaded.  A
 //! bundle captures everything needed to replay an induction result:
 //!
-//! * the expressions, as *text* round-tripped through
-//!   [`wi_xpath::parse_query`] (human-auditable, hand-editable),
+//! * the expressions, parsed once — when the bundle is built from induced
+//!   instances or decoded from JSON — and replayed from that parse by every
+//!   extraction; the JSON form stores their text (human-auditable,
+//!   hand-editable) and decoding parses it with [`wi_xpath::parse_query`],
 //! * the accuracy counts each expression achieved on its training samples,
 //! * the [`ScoringParams`] in force at induction time (scores are recomputed
 //!   from these on load, so a reloaded instance ranks identically),
@@ -29,12 +31,12 @@
 use crate::api::Wrapper;
 use crate::ensemble::WrapperEnsemble;
 use crate::error::{BundleError, ExtractError};
-use crate::extract::Extractor;
+use crate::extract::{check_context, Extractor};
 use crate::json::{parse_json, JsonValue};
 use std::path::Path;
 use wi_dom::{Document, NodeId};
 use wi_scoring::{Counts, QueryInstance, ScoringParams};
-use wi_xpath::{parse_query, Axis, StringFunction};
+use wi_xpath::{parse_query, Axis, Query, StringFunction};
 
 /// The bundle format version this build reads and writes.
 pub const BUNDLE_FORMAT_VERSION: u32 = 1;
@@ -45,8 +47,8 @@ const BUNDLE_FORMAT: &str = "wrapper-induction/bundle";
 /// One stored expression with its training accuracy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BundleEntry {
-    /// The expression text (parses with [`wi_xpath::parse_query`]).
-    pub expression: String,
+    /// The parsed expression (stored as its text in the JSON form).
+    pub query: Query,
     /// The accuracy counts the expression achieved on the training samples.
     pub counts: Counts,
     /// The robustness score at save time (informational; recomputed from
@@ -89,7 +91,7 @@ impl WrapperBundle {
             entries: instances
                 .iter()
                 .map(|inst| BundleEntry {
-                    expression: inst.query.to_string(),
+                    query: inst.query.clone(),
                     counts: inst.counts,
                     score: inst.score,
                 })
@@ -127,31 +129,27 @@ impl WrapperBundle {
         }
     }
 
-    /// Rebuilds the ranked instances, re-parsing every expression and
-    /// recomputing scores from the bundled parameters.
-    pub fn instances(&self) -> Result<Vec<QueryInstance>, BundleError> {
-        self.entries
-            .iter()
-            .map(|entry| {
-                let query = parse_query(&entry.expression)?;
-                Ok(QueryInstance::new(query, entry.counts, &self.params))
-            })
-            .collect()
+    /// Rebuilds the ranked instances, recomputing scores from the bundled
+    /// parameters.
+    pub fn instances(&self) -> Vec<QueryInstance> {
+        self.entries.iter().map(|e| self.instance(e)).collect()
+    }
+
+    fn instance(&self, entry: &BundleEntry) -> QueryInstance {
+        QueryInstance::new(entry.query.clone(), entry.counts, &self.params)
     }
 
     /// Rebuilds the top-ranked wrapper.
     pub fn to_wrapper(&self) -> Result<Wrapper, BundleError> {
-        let instances = self.instances()?;
-        instances
-            .into_iter()
-            .next()
-            .map(Wrapper::new)
+        self.entries
+            .first()
+            .map(|e| Wrapper::new(self.instance(e)))
             .ok_or_else(|| BundleError::Schema("bundle holds no wrapper".into()))
     }
 
     /// Rebuilds the full ensemble.
-    pub fn to_ensemble(&self) -> Result<WrapperEnsemble, BundleError> {
-        Ok(WrapperEnsemble::from_members(self.instances()?))
+    pub fn to_ensemble(&self) -> WrapperEnsemble {
+        WrapperEnsemble::from_members(self.instances())
     }
 
     /// Renders the bundle as pretty-printed JSON.
@@ -190,7 +188,7 @@ impl WrapperBundle {
                         JsonValue::Object(vec![
                             (
                                 "expression".into(),
-                                JsonValue::String(entry.expression.clone()),
+                                JsonValue::String(entry.query.to_string()),
                             ),
                             ("tp".into(), JsonValue::Number(f64::from(entry.counts.tp))),
                             ("fp".into(), JsonValue::Number(f64::from(entry.counts.fp))),
@@ -215,7 +213,8 @@ impl WrapperBundle {
 
     /// Rebuilds a bundle from an already-parsed [`JsonValue`] (the inverse
     /// of [`to_json_value`](WrapperBundle::to_json_value)).  Every stored
-    /// expression is validated eagerly, exactly like `from_json_str`.
+    /// expression is parsed here, exactly like `from_json_str`, so a bundle
+    /// that cannot extract fails at load time, not at first use.
     pub fn from_json_value(value: &JsonValue) -> Result<Self, BundleError> {
         let format = value
             .get("format")
@@ -265,11 +264,8 @@ impl WrapperBundle {
                 let expression = w
                     .get("expression")
                     .and_then(JsonValue::as_str)
-                    .ok_or_else(|| BundleError::Schema("wrapper without \"expression\"".into()))?
-                    .to_string();
-                // Validate the expression text eagerly: a bundle that cannot
-                // extract should fail at load time, not at first use.
-                parse_query(&expression)?;
+                    .ok_or_else(|| BundleError::Schema("wrapper without \"expression\"".into()))?;
+                let query = parse_query(expression)?;
                 let count_field = |name: &str| {
                     w.get(name)
                         .and_then(JsonValue::as_u32)
@@ -279,7 +275,7 @@ impl WrapperBundle {
                     Counts::new(count_field("tp")?, count_field("fp")?, count_field("fne")?);
                 let score = w.get("score").and_then(JsonValue::as_f64).unwrap_or(0.0);
                 Ok(BundleEntry {
-                    expression,
+                    query,
                     counts,
                     score,
                 })
@@ -327,89 +323,21 @@ impl WrapperBundle {
         let text = std::fs::read_to_string(path)?;
         Self::from_json_str(&text)
     }
-}
 
-/// A bundle compiled into its runnable form: the expressions parsed once.
-enum CompiledBundle {
-    Single(wi_xpath::Query),
-    Ensemble(WrapperEnsemble),
-}
-
-impl Extractor for CompiledBundle {
-    fn extract_with(
-        &self,
-        cx: &mut wi_xpath::EvalContext,
-        doc: &Document,
-        context: NodeId,
-    ) -> Result<Vec<NodeId>, ExtractError> {
-        match self {
-            CompiledBundle::Single(query) => query.extract_with(cx, doc, context),
-            CompiledBundle::Ensemble(ensemble) => ensemble.extract_with(cx, doc, context),
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            CompiledBundle::Single(query) => query.to_string(),
-            CompiledBundle::Ensemble(ensemble) => ensemble.describe(),
-        }
-    }
-}
-
-/// A bundle's expressions parsed once, for repeated replay of the same
-/// revision over many documents (the maintenance loop verifies every
-/// snapshot against the same bundle — re-parsing per snapshot was pure
-/// overhead).  Extracts exactly like the [`WrapperBundle`] it was compiled
-/// from.
-pub struct CompiledExtractor(CompiledBundle);
-
-impl Extractor for CompiledExtractor {
-    fn extract_with(
-        &self,
-        cx: &mut wi_xpath::EvalContext,
-        doc: &Document,
-        context: NodeId,
-    ) -> Result<Vec<NodeId>, ExtractError> {
-        self.0.extract_with(cx, doc, context)
-    }
-
-    fn describe(&self) -> String {
-        self.0.describe()
-    }
-}
-
-impl WrapperBundle {
-    /// Parses the stored expressions once into a reusable extractor.  The
-    /// result is tied to this revision's entries; recompile after
-    /// [`revised`](WrapperBundle::revised).
-    pub fn compile_extractor(&self) -> Result<CompiledExtractor, ExtractError> {
-        self.compile().map(CompiledExtractor)
-    }
-
-    /// Parses the stored expressions into a runnable extractor (a single
-    /// query, or an ensemble voting by majority).
-    fn compile(&self) -> Result<CompiledBundle, ExtractError> {
+    /// Checks that the bundle holds an expression and returns it unchanged:
+    /// a bundle's expressions are parsed once when it is built or decoded,
+    /// so there is nothing left to compile.  Kept because the `servebench`
+    /// harness still times this call as its `bundle.compile` trace layer.
+    pub fn compile_extractor(&self) -> Result<&Self, ExtractError> {
         if self.entries.is_empty() {
             return Err(ExtractError::EmptyWrapper);
         }
-        if self.entries.len() == 1 {
-            return Ok(CompiledBundle::Single(parse_query(
-                &self.entries[0].expression,
-            )?));
-        }
-        let ensemble = self.to_ensemble().map_err(|e| match e {
-            BundleError::Query(parse) => ExtractError::Parse(parse),
-            _ => ExtractError::EmptyWrapper,
-        })?;
-        Ok(CompiledBundle::Ensemble(ensemble))
+        Ok(self)
     }
 }
 
 /// Bundles extract like the wrapper/ensemble they store: a single entry
 /// evaluates directly, several entries vote by majority.
-///
-/// The batch paths compile the stored expressions once for the whole batch
-/// instead of once per document.
 impl Extractor for WrapperBundle {
     fn extract_with(
         &self,
@@ -417,32 +345,23 @@ impl Extractor for WrapperBundle {
         doc: &Document,
         context: NodeId,
     ) -> Result<Vec<NodeId>, ExtractError> {
-        self.compile()?.extract_with(cx, doc, context)
+        match self.entries.as_slice() {
+            [] => Err(ExtractError::EmptyWrapper),
+            [one] => one.query.extract_with(cx, doc, context),
+            entries => {
+                check_context(doc, context)?;
+                let queries = entries.iter().map(|e| &e.query);
+                Ok(crate::ensemble::majority(cx, queries, doc, context))
+            }
+        }
     }
 
     fn describe(&self) -> String {
         self.entries
             .iter()
-            .map(|e| e.expression.as_str())
+            .map(|e| e.query.to_string())
             .collect::<Vec<_>>()
             .join(" | ")
-    }
-
-    fn extract_batch(&self, docs: &[Document]) -> Vec<Result<Vec<NodeId>, ExtractError>> {
-        match self.compile() {
-            Ok(compiled) => compiled.extract_batch(docs),
-            Err(e) => docs.iter().map(|_| Err(e.clone())).collect(),
-        }
-    }
-
-    fn extract_batch_sequential(
-        &self,
-        docs: &[Document],
-    ) -> Vec<Result<Vec<NodeId>, ExtractError>> {
-        match self.compile() {
-            Ok(compiled) => compiled.extract_batch_sequential(docs),
-            Err(e) => docs.iter().map(|_| Err(e.clone())).collect(),
-        }
     }
 }
 
@@ -643,10 +562,7 @@ mod tests {
         let reloaded = WrapperBundle::from_json_str(&bundle.to_json_string()).unwrap();
         assert_eq!(reloaded.entries.len(), ensemble.len());
         assert_eq!(reloaded.extract(&doc, doc.root()).unwrap(), vec![t]);
-        assert_eq!(
-            reloaded.to_ensemble().unwrap().expressions(),
-            ensemble.expressions()
-        );
+        assert_eq!(reloaded.to_ensemble().expressions(), ensemble.expressions());
     }
 
     #[test]

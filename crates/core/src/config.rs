@@ -34,7 +34,7 @@ impl TextPolicy {
     }
 }
 
-/// Configuration of [`crate::induce`] / [`crate::WrapperInducer`].
+/// Configuration of [`crate::induce()`] / [`crate::WrapperInducer`].
 #[derive(Debug, Clone)]
 pub struct InductionConfig {
     /// Best-K bound: how many candidate instances are kept per spine node and

@@ -7,7 +7,7 @@
 //! use a variety of independent means for selecting a target node"*.
 //!
 //! This module implements that extension on top of the best-K induction of
-//! [`crate::induce`]:
+//! [`crate::induce()`]:
 //!
 //! 1. a candidate pool of ranked instances is induced as usual,
 //! 2. members are picked greedily so that each new member relies on
@@ -286,15 +286,7 @@ impl WrapperEnsemble {
         doc: &Document,
         context: NodeId,
     ) -> Vec<(NodeId, usize)> {
-        let mut counts: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for member in &self.members {
-            for node in evaluate_with(cx, &member.query, doc, context) {
-                *counts.entry(node).or_insert(0) += 1;
-            }
-        }
-        let mut nodes: Vec<NodeId> = counts.keys().copied().collect();
-        doc.sort_document_order(&mut nodes);
-        nodes.into_iter().map(|n| (n, counts[&n])).collect()
+        votes(cx, self.queries(), doc, context)
     }
 
     /// Nodes selected by a strict majority of the members.
@@ -316,12 +308,11 @@ impl WrapperEnsemble {
         doc: &Document,
         context: NodeId,
     ) -> Vec<NodeId> {
-        let threshold = self.members.len() / 2 + 1;
-        self.votes_from_with(cx, doc, context)
-            .into_iter()
-            .filter(|(_, votes)| *votes >= threshold)
-            .map(|(node, _)| node)
-            .collect()
+        majority(cx, self.queries(), doc, context)
+    }
+
+    fn queries(&self) -> impl ExactSizeIterator<Item = &Query> {
+        self.members.iter().map(|m| &m.query)
     }
 
     /// Nodes selected by at least one member.
@@ -370,6 +361,41 @@ impl WrapperEnsemble {
         }
         total / pairs as f64
     }
+}
+
+/// Evaluates every query from `context` and returns the per-node vote
+/// counts, in document order.
+fn votes<'q>(
+    cx: &mut EvalContext,
+    queries: impl Iterator<Item = &'q Query>,
+    doc: &Document,
+    context: NodeId,
+) -> Vec<(NodeId, usize)> {
+    let mut counts: BTreeMap<NodeId, usize> = BTreeMap::new();
+    for query in queries {
+        for node in evaluate_with(cx, query, doc, context) {
+            *counts.entry(node).or_insert(0) += 1;
+        }
+    }
+    let mut nodes: Vec<NodeId> = counts.keys().copied().collect();
+    doc.sort_document_order(&mut nodes);
+    nodes.into_iter().map(|n| (n, counts[&n])).collect()
+}
+
+/// Nodes selected by a strict majority of `queries` — the one majority
+/// vote behind ensembles and multi-entry bundles.
+pub(crate) fn majority<'q>(
+    cx: &mut EvalContext,
+    queries: impl ExactSizeIterator<Item = &'q Query>,
+    doc: &Document,
+    context: NodeId,
+) -> Vec<NodeId> {
+    let threshold = queries.len() / 2 + 1;
+    votes(cx, queries, doc, context)
+        .into_iter()
+        .filter(|(_, votes)| *votes >= threshold)
+        .map(|(node, _)| node)
+        .collect()
 }
 
 fn jaccard(a: &BTreeSet<NodeId>, b: &BTreeSet<NodeId>) -> f64 {

@@ -76,9 +76,6 @@ pub enum ExtractError {
     EmptyWrapper,
     /// The evaluation context node is not a live node of the document.
     InvalidContext(NodeId),
-    /// A stored expression failed to re-parse (corrupt or hand-edited
-    /// artifact).
-    Parse(ParseError),
     /// A DOM-level failure during evaluation.
     Dom(DomError),
 }
@@ -90,7 +87,6 @@ impl fmt::Display for ExtractError {
             ExtractError::InvalidContext(node) => {
                 write!(f, "context {node:?} is not a node of the document")
             }
-            ExtractError::Parse(e) => write!(f, "stored expression failed to parse: {e}"),
             ExtractError::Dom(e) => write!(f, "DOM error during extraction: {e}"),
         }
     }
@@ -99,16 +95,9 @@ impl fmt::Display for ExtractError {
 impl std::error::Error for ExtractError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ExtractError::Parse(e) => Some(e),
             ExtractError::Dom(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<ParseError> for ExtractError {
-    fn from(e: ParseError) -> Self {
-        ExtractError::Parse(e)
     }
 }
 
@@ -140,7 +129,7 @@ pub enum BundleError {
         /// The version this build supports.
         supported: u32,
     },
-    /// A stored expression failed to re-parse.
+    /// A stored expression failed to parse on decode.
     Query(ParseError),
 }
 
@@ -198,9 +187,6 @@ mod tests {
         assert!(ExtractError::EmptyWrapper
             .to_string()
             .contains("no expression"));
-        let parse = wi_xpath::parse_query("][").unwrap_err();
-        let e = ExtractError::from(parse);
-        assert!(e.to_string().contains("parse"));
         let v = BundleError::Version {
             found: 9,
             supported: 1,
@@ -220,7 +206,6 @@ mod tests {
     fn sources_are_wired() {
         use std::error::Error;
         let parse = wi_xpath::parse_query("][").unwrap_err();
-        assert!(ExtractError::Parse(parse.clone()).source().is_some());
         assert!(BundleError::Query(parse).source().is_some());
         assert!(ExtractError::EmptyWrapper.source().is_none());
     }

@@ -123,7 +123,7 @@ pub trait Extractor: Send + Sync {
     }
 }
 
-fn check_context(doc: &Document, context: NodeId) -> Result<(), ExtractError> {
+pub(crate) fn check_context(doc: &Document, context: NodeId) -> Result<(), ExtractError> {
     if doc.contains(context) {
         Ok(())
     } else {

@@ -3,7 +3,7 @@
 //!
 //! For every sample `⟨u_i, V_i⟩` the algorithm first checks whether some base
 //! axis reaches all targets from the context node; if so a single
-//! [`crate::induce_path`] run suffices (one-directional query).  Otherwise a
+//! [`crate::induce_path()`] run suffices (one-directional query).  Otherwise a
 //! *two-directional* query is induced through the least common ancestor
 //! `l_i` of the targets (or of targets ∪ {u_i}): the tail from `l_i` to the
 //! targets is induced first and seeded into the `best` table, then the head

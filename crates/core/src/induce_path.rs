@@ -127,7 +127,7 @@ pub fn induce_path(
 ///   depend on the context node (see
 ///   [`generate_candidates`](crate::step_pattern)),
 /// * each pattern's node set and robustness-score prefix are derived **once
-///   per pattern** (a [`PrefixHandle`] into the candidate trie plus a
+///   per pattern** (a [`PrefixHandle`](wi_xpath::PrefixHandle) into the candidate trie plus a
 ///   plus-compositional prefix sum); every instance extends both by its own
 ///   — usually empty — suffix,
 /// * the optimistic admission pre-check ranks the combination from those

@@ -13,8 +13,8 @@
 //! | `nodePattern(u)` | [`node_pattern`] |
 //! | `stepPattern(n, t, axis, K)` (Algorithm 1) | [`step_pattern`] |
 //! | best-K tables | [`best_k`] |
-//! | `inducePath(u, V, K, axis, best, tar)` (Algorithm 2) | [`induce_path`] |
-//! | `induce(S, K)` (Algorithm 3) | [`induce`] |
+//! | `inducePath(u, V, K, axis, best, tar)` (Algorithm 2) | [`induce_path`](mod@induce_path) |
+//! | `induce(S, K)` (Algorithm 3) | [`induce`](mod@induce) |
 //! | Theorem 1 (NP-hardness gadget) | [`complexity`] |
 //!
 //! Beyond the paper's core algorithm, [`ensemble`] implements the conclusion's
@@ -73,7 +73,7 @@ pub(crate) mod telemetry;
 
 pub use api::{Wrapper, WrapperInducer};
 pub use best_k::BestK;
-pub use bundle::{BundleEntry, CompiledExtractor, WrapperBundle, BUNDLE_FORMAT_VERSION};
+pub use bundle::{BundleEntry, WrapperBundle, BUNDLE_FORMAT_VERSION};
 pub use config::InductionConfig;
 pub use ensemble::{EnsembleConfig, QueryFeatures, WrapperEnsemble};
 pub use error::{BundleError, ExtractError, InduceError};

@@ -17,7 +17,7 @@
 //! * per-sample induction runs strictly sequentially.
 //!
 //! [`induce_reference`] must return **byte-identical** results to
-//! [`crate::induce`] — expressions, counts, scores and order — which the
+//! [`crate::induce()`] — expressions, counts, scores and order — which the
 //! equivalence tests assert on the webgen datasets.  Do not optimize this
 //! module; its purpose is to stay exactly as slow as the code it preserves.
 //! Production callers must never use it.
@@ -184,7 +184,7 @@ impl TablesRef {
 // Algorithm 3 (frozen).
 // ---------------------------------------------------------------------------
 
-/// The retained naive `induce(S, K)`: identical results to [`crate::induce`],
+/// The retained naive `induce(S, K)`: identical results to [`crate::induce()`],
 /// at the pre-trie, pre-interning cost.  See the [module docs](self).
 pub fn induce_reference(samples: &[Sample<'_>], config: &InductionConfig) -> Vec<QueryInstance> {
     let usable: Vec<&Sample<'_>> = samples.iter().filter(|s| s.is_well_formed()).collect();

@@ -11,11 +11,11 @@
 //! The returned queries satisfy the algorithm's contract: each selects at
 //! least `t` when evaluated from `n` (general patterns), and the accuracy-
 //! refined variants select exactly `t`.  Ranking against the actual relevant
-//! targets happens later, in [`crate::induce_path`].
+//! targets happens later, in [`crate::induce_path()`].
 //!
 //! The two phases are exposed separately so the induction DP can cache them
-//! at their natural granularity: [`generate_candidates`] depends only on the
-//! target (plus the directness bit), while [`select_candidates`] evaluates
+//! at their natural granularity: `generate_candidates` depends only on the
+//! target (plus the directness bit), while `select_candidates` evaluates
 //! from the context node through the caller's shared-prefix engine.
 
 use crate::config::InductionConfig;

@@ -1,4 +1,4 @@
-//! Section 6.1 — comparison with Dalvi et al. [6] (probabilistic tree-edit
+//! Section 6.1 — comparison with Dalvi et al. \[6\] (probabilistic tree-edit
 //! robustness): the *success ratio* of wrappers for IMDB director names over
 //! 15 bi-monthly snapshots, for three overlapping periods.
 //!

@@ -1,4 +1,4 @@
-//! Section 6.1 — comparison with WEIR [2]: robustness of induced expressions
+//! Section 6.1 — comparison with WEIR \[2\]: robustness of induced expressions
 //! for hotel detail pages over the 2012–2016 period.
 //!
 //! WEIR gets 10 same-template pages from 2012 and emits an unranked set of

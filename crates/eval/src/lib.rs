@@ -6,8 +6,8 @@
 //! | paper | module | binary / bench |
 //! |---|---|---|
 //! | running time (§6) | [`experiments::timing`] | `run_experiments timing` |
-//! | comparison with Dalvi et al. [6] (§6.1) | [`experiments::sota_dalvi`] | `run_experiments sota-dalvi` |
-//! | comparison with WEIR [2] (§6.1) | [`experiments::sota_weir`] | `run_experiments sota-weir` |
+//! | comparison with Dalvi et al. \[6\] (§6.1) | [`experiments::sota_dalvi`] | `run_experiments sota-dalvi` |
+//! | comparison with WEIR \[2\] (§6.1) | [`experiments::sota_weir`] | `run_experiments sota-weir` |
 //! | Table 1 (single-node examples) | [`experiments::table1`] | `run_experiments table1` |
 //! | Table 2 (multi-node examples) | [`experiments::table2`] | `run_experiments table2` |
 //! | Figure 3 (robustness, single node) | [`experiments::fig3`] | `run_experiments fig3` |

@@ -22,7 +22,7 @@ pub type FnId = (usize, usize);
 
 /// Name-based call graph over a group of files (one crate, or the joint
 /// R1 file pair).  Calls are resolved by name plus call shape (see
-/// [`CallGraph::binds`]): method calls bind to `self` functions,
+/// `CallGraph::binds`): method calls bind to `self` functions,
 /// `Type::f` calls bind inside `impl Type`, bare calls bind to free
 /// functions.  Within a shape the match is name-only — an
 /// over-approximation, which is the safe direction for every rule here.

@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use wi_dom::{Document, NodeId};
 use wi_induction::WrapperBundle;
 use wi_xpath::eval::evaluate_step;
-use wi_xpath::{parse_query, Predicate, PrefixEvaluator, Query, Step, StringFunction, TextSource};
+use wi_xpath::{Predicate, PrefixEvaluator, Query, Step, StringFunction, TextSource};
 
 /// The break groups of the paper's Section 6.2, as a drift classifier
 /// reports them (compare `wi_webgen::ChangeClass`, the generated ground
@@ -226,17 +226,14 @@ impl DriftClassifier {
 
         let mut prefix = PrefixEvaluator::new(doc);
         let mut entries = Vec::new();
-        for (entry_idx, entry) in bundle.entries.iter().enumerate() {
-            let Ok(query) = parse_query(&entry.expression) else {
-                continue;
-            };
+        for (entry_idx, query) in bundle.entries.iter().map(|e| &e.query).enumerate() {
             let search = Search {
                 doc,
                 lkg,
                 config: &self.config,
             };
             let acceptable = {
-                let initial = prefix.evaluate(doc.root(), &query);
+                let initial = prefix.evaluate(doc.root(), query);
                 search.acceptable(initial)
             };
             let (fixed, fixes) = if acceptable {
@@ -254,9 +251,9 @@ impl DriftClassifier {
             entries.push(EntryDiagnosis {
                 entry: entry_idx,
                 fixed,
-                text_anchor_gone: text_anchor_gone(&query, doc),
-                attr_anchor_gone: attr_anchor_gone(&query, doc),
-                neighborhood_gone: neighborhood_gone(&query, doc, lkg),
+                text_anchor_gone: text_anchor_gone(query, doc),
+                attr_anchor_gone: attr_anchor_gone(query, doc),
+                neighborhood_gone: neighborhood_gone(query, doc, lkg),
                 fixes,
             });
         }
@@ -699,6 +696,7 @@ mod tests {
     use wi_dom::Document;
     use wi_induction::WrapperInducer;
     use wi_scoring::ScoringParams;
+    use wi_xpath::parse_query;
 
     fn bundle_for(doc: &Document, targets: &[NodeId]) -> WrapperBundle {
         let wrapper = WrapperInducer::default()
@@ -786,7 +784,7 @@ mod tests {
         .unwrap();
         let query = "child::html[1]/child::body[1]/child::div[2]/child::h1[1]";
         let mut bundle = bundle_for(&v1, &v1.elements_by_tag("h1"));
-        bundle.entries[0].expression = query.to_string();
+        bundle.entries[0].query = parse_query(query).unwrap();
         // A promo block shifts the content div from position 2 to 3.
         let v2 = Document::parse(
             r#"<html><body><div>nav</div><div>promo!</div><div><h1>Title</h1><p>intro</p><p>more</p></div></body></html>"#,

@@ -19,14 +19,15 @@
 //! only move forward within a run (via [`WrapperBundle::revised`]), so a
 //! changed document or a repaired bundle can never replay a stale verdict,
 //! and there is nothing to evict: each slot holds one entry and the next
-//! healthy epoch overwrites it.  Everything else — the per-revision
-//! [`CompiledVerify`] and the attribute census index — is shared with the
-//! from-scratch path.
+//! healthy epoch overwrites it.  Everything else — the bundle's parsed
+//! expressions (a bundle is parsed once, when it is built or decoded) and
+//! the attribute census index — is shared with the from-scratch path.
 //!
 //! [`WrapperBundle::revised`]: wi_induction::WrapperBundle::revised
 
-use crate::verify::{CompiledVerify, HealthReport, HealthSignal, LastKnownGood, Verifier};
+use crate::verify::{HealthReport, HealthSignal, LastKnownGood, Verifier};
 use wi_dom::{Document, NodeId};
+use wi_induction::WrapperBundle;
 use wi_xpath::EvalContext;
 
 /// Echo replays (`hits`) and full verifications (`misses`) of one run.
@@ -70,8 +71,7 @@ impl IncrementalState {
         }
     }
 
-    /// [`Verifier::check_with_compiled`] behind the identical-snapshot
-    /// replay.
+    /// [`Verifier::check_with`] behind the identical-snapshot replay.
     ///
     /// When this snapshot's fingerprint and the live bundle revision match
     /// the last *healthy* epoch's (the [`EpochEcho`]), and the loop's
@@ -102,8 +102,7 @@ impl IncrementalState {
         &mut self,
         cx: &mut EvalContext,
         verifier: &Verifier,
-        compiled: &CompiledVerify,
-        revision: u32,
+        bundle: &WrapperBundle,
         doc: &Document,
         doc_fp: u64,
         day: i64,
@@ -113,7 +112,7 @@ impl IncrementalState {
             if let Some(echo) = self
                 .echo
                 .as_ref()
-                .filter(|e| e.doc_fp == doc_fp && e.revision == revision)
+                .filter(|e| e.doc_fp == doc_fp && e.revision == bundle.revision)
             {
                 let nodes = doc.order_index().nodes_in_order();
                 if echo.extracted.iter().all(|&p| (p as usize) < nodes.len()) {
@@ -129,7 +128,7 @@ impl IncrementalState {
             }
         }
         self.stats.misses += 1;
-        verifier.check_with_compiled(cx, compiled, doc, day, lkg)
+        verifier.check_with(cx, bundle, doc, day, lkg)
     }
 
     /// Whether the live last-known-good state was captured against a

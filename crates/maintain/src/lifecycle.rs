@@ -22,7 +22,7 @@
 use crate::drift::{DriftClass, DriftClassifier, DriftConfig, DriftReport};
 use crate::incremental::IncrementalState;
 use crate::repair::{RepairAction, RepairConfig, Repairer};
-use crate::verify::{CompiledVerify, HealthReport, LastKnownGood, Verifier, VerifyConfig};
+use crate::verify::{HealthReport, LastKnownGood, Verifier, VerifyConfig};
 use crate::PageVersion;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -134,8 +134,8 @@ pub struct MaintainConfig {
     /// identical to the last healthy one under the same bundle revision
     /// replays that epoch's verdict, and its last-known-good state rolls
     /// forward without a re-capture.  Off, every snapshot is verified and
-    /// captured from scratch; both modes share the per-revision compiled
-    /// verification and the attribute census index.  Outcomes are
+    /// captured from scratch; both modes share the bundle's parsed
+    /// expressions and the attribute census index.  Outcomes are
     /// byte-identical either way; this switch is the from-scratch reference
     /// for the equivalence battery and the benches.  Defaults to `true`.
     pub incremental: bool,
@@ -234,7 +234,7 @@ impl Maintainer {
         &self,
         cx: &mut EvalContext,
         label: &str,
-        bundle: WrapperBundle,
+        mut bundle: WrapperBundle,
         pages: &[PageVersion],
         seed_lkg: Option<LastKnownGood>,
         inducer: &WrapperInducer,
@@ -248,10 +248,6 @@ impl Maintainer {
         let run_started = Instant::now();
         let mut inc = self.config.incremental.then(IncrementalState::new);
 
-        // The live revision's expressions, parsed once; rebuilt only when a
-        // repair installs a new revision.
-        let mut compiled = CompiledVerify::new(&bundle);
-        let mut bundle = bundle;
         let mut lkg = seed_lkg;
         let mut state = seed_state;
         let mut consecutive_target_gone = seed_target_gone_streak as usize;
@@ -270,14 +266,13 @@ impl Maintainer {
                 (Some(state), Some(fp)) => state.verify(
                     cx,
                     &verifier,
-                    &compiled,
-                    bundle.revision,
+                    &bundle,
                     &page.doc,
                     fp,
                     page.day,
                     lkg.as_ref(),
                 ),
-                _ => verifier.check_with_compiled(cx, &compiled, &page.doc, page.day, lkg.as_ref()),
+                _ => verifier.check_with(cx, &bundle, &page.doc, page.day, lkg.as_ref()),
             };
             obs.verify_latency_us.observe_us(verify_started.elapsed());
 
@@ -313,7 +308,8 @@ impl Maintainer {
                     if let (Some(state), Some(fp)) = (inc.as_mut(), doc_fp) {
                         state.record_lkg_origin(fp, bundle.revision);
                     }
-                    let fresh = compiled.capture(&page.doc, page.day, &health.extracted);
+                    let fresh =
+                        LastKnownGood::capture_for(&bundle, &page.doc, page.day, &health.extracted);
                     Some(match lkg.as_ref() {
                         Some(previous) => LastKnownGood::advance(previous, fresh),
                         None => fresh,
@@ -376,11 +372,15 @@ impl Maintainer {
                             cause: outcome.action.provenance(page.day),
                             bundle: bundle.clone(),
                         });
-                        compiled = CompiledVerify::new(&bundle);
                         if let (Some(state), Some(fp)) = (inc.as_mut(), doc_fp) {
                             state.record_lkg_origin(fp, bundle.revision);
                         }
-                        let fresh = compiled.capture(&page.doc, page.day, &outcome.extracted);
+                        let fresh = LastKnownGood::capture_for(
+                            &bundle,
+                            &page.doc,
+                            page.day,
+                            &outcome.extracted,
+                        );
                         lkg = Some(match lkg.as_ref() {
                             Some(previous) => LastKnownGood::advance(previous, fresh),
                             None => fresh,

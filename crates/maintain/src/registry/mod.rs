@@ -11,12 +11,12 @@
 //!   partitioned into N shards by FxHash of the site key, each shard backed
 //!   by numbered, size-bounded, checksummed JSON-lines **segments** plus a
 //!   manifest, with wrapper bundles deduplicated into a content-addressed
-//!   object store (see [`log`](self::log) for the record schema, [`shard`]
-//!   for the on-disk layout and [`objects`](self::objects) for the bundle
+//!   object store (see [`log`] for the record schema, [`shard`]
+//!   for the on-disk layout and [`objects`] for the bundle
 //!   store).  [`recover`](PersistentRegistry::recover) replays the segments
 //!   back into the live map, tolerating a torn final record;
 //!   [`compact`](PersistentRegistry::compact) rewrites only segments below
-//!   a live-record ratio floor (see [`compact`](self::compact) module
+//!   a live-record ratio floor (see [`compact`] module
 //!   docs); and [`snapshot`](PersistentRegistry::snapshot) /
 //!   [`replicate_to`](PersistentRegistry::replicate_to) /
 //!   [`restore`](PersistentRegistry::restore) move whole registries between
@@ -145,8 +145,8 @@ impl Registry {
     ///
     /// The fan-out is **adaptive**: on a single-core machine
     /// (`available_parallelism() == 1`), or when the batch is too small to
-    /// amortize thread spawns (fewer than [`PARALLEL_THRESHOLD`] jobs, or
-    /// fewer than [`MIN_JOBS_PER_WORKER`] jobs per would-be worker), the
+    /// amortize thread spawns (fewer than `PARALLEL_THRESHOLD` jobs, or
+    /// fewer than `MIN_JOBS_PER_WORKER` jobs per would-be worker), the
     /// batch stays on the calling thread — scoped threads on one core can
     /// only add overhead (the 0.83× regression recorded in the pre-adaptive
     /// `BENCH_maintain.json`).
@@ -1052,7 +1052,7 @@ impl PersistentRegistry {
 
     /// Rewrites the dirty segments of every shard down to the retained
     /// history and garbage-collects unreferenced bundle objects (see the
-    /// [`compact`](self::compact) module docs for the exact policy and the
+    /// [`compact`] module docs for the exact policy and the
     /// invariants).
     pub fn compact(&mut self, policy: &CompactionPolicy) -> Result<CompactionStats, RegistryError> {
         if self.poisoned {

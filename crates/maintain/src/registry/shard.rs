@@ -31,7 +31,7 @@
 //! panic.
 //!
 //! **Durability**: every rename and file creation in this directory tree is
-//! followed by an fsync of the parent directory ([`sync_dir`]), so a crash
+//! followed by an fsync of the parent directory (`sync_dir`), so a crash
 //! after a committed rename cannot resurrect the old directory entry (the
 //! rule is machine-checked as wi-lint R9).
 

@@ -161,7 +161,7 @@ impl Repairer {
             if diagnosis.fixes.is_empty() {
                 continue; // the entry was acceptable as-is
             }
-            entries[diagnosis.entry].expression = fixed.to_string();
+            entries[diagnosis.entry].query = fixed.clone();
             for fix in &diagnosis.fixes {
                 edits.push(match &fix.kind {
                     FixKind::Reanchor {
@@ -205,7 +205,7 @@ impl Repairer {
             harvested: targets.len(),
         };
         let entries = vec![BundleEntry {
-            expression: wrapper.expression(),
+            query: wrapper.instance.query,
             counts: wrapper.instance.counts,
             score: wrapper.instance.score,
         }];

@@ -17,8 +17,8 @@
 
 use serde::{Deserialize, Serialize};
 use wi_dom::{Document, NodeId};
-use wi_induction::{CompiledExtractor, Extractor, WrapperBundle};
-use wi_xpath::{parse_query, EvalContext, NodeTest, Predicate, StringFunction, TextSource};
+use wi_induction::{Extractor, WrapperBundle};
+use wi_xpath::{EvalContext, NodeTest, Predicate, StringFunction, TextSource};
 
 /// What the wrapper extracted the last time it was healthy — the reference
 /// state all verification signals are computed against.
@@ -113,14 +113,36 @@ impl LastKnownGood {
     }
 
     /// Like [`capture`](LastKnownGood::capture), additionally recording the
-    /// carrier census of every attribute anchor of `bundle`.
+    /// carrier census of every attribute anchor of `bundle`: one entry per
+    /// distinct equality `(attribute, value)` anchor, in first-occurrence
+    /// order.  Both censuses come from the document's attribute index (see
+    /// `wi_dom::attrs`): the value census is a shared `Arc` clone and each
+    /// carrier count one integer-keyed probe.
     pub fn capture_for(
         bundle: &WrapperBundle,
         doc: &Document,
         day: i64,
         nodes: &[NodeId],
     ) -> LastKnownGood {
-        CompiledVerify::new(bundle).capture(doc, day, nodes)
+        let mut lkg = LastKnownGood::capture(doc, day, nodes);
+        for probe in anchor_probes(bundle) {
+            let (StringFunction::Equals, TextSource::Attribute(attribute)) =
+                (probe.func, probe.source)
+            else {
+                continue;
+            };
+            if lkg.anchor_census(attribute, probe.value).is_none() {
+                lkg.anchor_carriers.push(AnchorCarrier {
+                    attribute: attribute.clone(),
+                    value: probe.value.to_string(),
+                    count: doc.carrier_count(attribute, probe.value),
+                    stable_observations: 0,
+                    neighborhood: capture_neighborhood(doc, attribute, probe.value, nodes),
+                    neighborhood_stable: 0,
+                });
+            }
+        }
+        lkg
     }
 
     /// Rolls the state forward to a newer healthy capture, preserving what
@@ -458,21 +480,6 @@ impl Verifier {
         day: i64,
         lkg: Option<&LastKnownGood>,
     ) -> HealthReport {
-        self.check_with_compiled(cx, &CompiledVerify::new(bundle), doc, day, lkg)
-    }
-
-    /// Checks one snapshot against a bundle compiled once with
-    /// [`CompiledVerify::new`] — the maintenance loop replays the same
-    /// revision over every snapshot of a timeline, so the expressions parse
-    /// once per revision instead of twice per epoch.
-    pub(crate) fn check_with_compiled(
-        &self,
-        cx: &mut EvalContext,
-        compiled: &CompiledVerify,
-        doc: &Document,
-        day: i64,
-        lkg: Option<&LastKnownGood>,
-    ) -> HealthReport {
         let mut signals = Vec::new();
 
         // Broken capture first: nothing below is meaningful on one.
@@ -488,10 +495,10 @@ impl Verifier {
             };
         }
 
-        let extracted = match compiled.extract(cx, doc) {
+        let extracted = match bundle.extract_with(cx, doc, doc.root()) {
             Ok(nodes) => nodes,
-            Err(message) => {
-                signals.push(HealthSignal::ExtractionFailed(message));
+            Err(e) => {
+                signals.push(HealthSignal::ExtractionFailed(e.to_string()));
                 return HealthReport {
                     day,
                     extracted: Vec::new(),
@@ -546,7 +553,7 @@ impl Verifier {
 
         if self.config.check_anchors {
             let already_unhealthy = signals.iter().any(HealthSignal::is_severe);
-            probe_anchors(&compiled.probes, doc, lkg, already_unhealthy, &mut signals);
+            probe_anchors(bundle, doc, lkg, already_unhealthy, &mut signals);
         }
 
         signals.sort_by_key(|s| !s.is_severe());
@@ -571,127 +578,59 @@ fn text_similarity(old: &[String], new: &[String]) -> f64 {
     inter as f64 / union.max(1) as f64
 }
 
-/// One deduplicated anchor of a bundle, ready for probing.
-struct AnchorProbe {
+/// One deduplicated anchor of a bundle, borrowed from its entries' queries.
+struct AnchorProbe<'b> {
     /// First occurrence, for the emitted signal's coordinates.
     entry: usize,
     /// First occurrence's step index.
     step: usize,
     /// The node test of the (first) step carrying the anchor.
-    test: NodeTest,
+    test: &'b NodeTest,
     func: StringFunction,
-    source: TextSource,
-    value: String,
+    source: &'b TextSource,
+    value: &'b str,
     /// Whether any occurrence sits in a positionally-filtered step.
     positional: bool,
 }
 
-/// A bundle revision's verification plan, parsed once: the compiled
-/// extractor (or the compile error it will keep reporting) and the
-/// deduplicated anchor probes.  Build one per revision and replay it over
-/// every snapshot; `check_with` builds a throwaway one per call for API
-/// compatibility.
-pub(crate) struct CompiledVerify {
-    /// The parsed extractor; `Err` carries the message `check_with` has
-    /// always reported for an uncompilable bundle.
-    extractor: Result<CompiledExtractor, String>,
-    /// Deduplicated equality/prefix anchors of all entries.
-    probes: Vec<AnchorProbe>,
-    /// Deduplicated `(attribute, value)` equality-anchor pairs, in first-
-    /// occurrence order: the carrier census list of [`capture`](Self::capture).
-    anchor_pairs: Vec<(String, String)>,
-}
-
-impl CompiledVerify {
-    /// Parses `bundle`'s expressions into the reusable verification plan.
-    pub(crate) fn new(bundle: &WrapperBundle) -> CompiledVerify {
-        let mut probes: Vec<AnchorProbe> = Vec::new();
-        let mut anchor_pairs: Vec<(String, String)> = Vec::new();
-        for (entry_idx, entry) in bundle.entries.iter().enumerate() {
-            let Ok(query) = parse_query(&entry.expression) else {
-                continue; // an unparsable entry surfaces as ExtractionFailed
-            };
-            for (step_idx, step) in query.steps.iter().enumerate() {
-                let positional = step.predicates.iter().any(Predicate::is_positional);
-                for predicate in &step.predicates {
-                    let Predicate::StringCompare {
-                        func,
+/// The equality/prefix anchors of all of `bundle`'s entries, deduplicated on
+/// (function, source, value, node test) in first-occurrence order.
+fn anchor_probes(bundle: &WrapperBundle) -> Vec<AnchorProbe<'_>> {
+    let mut probes: Vec<AnchorProbe<'_>> = Vec::new();
+    for (entry_idx, entry) in bundle.entries.iter().enumerate() {
+        for (step_idx, step) in entry.query.steps.iter().enumerate() {
+            let positional = step.predicates.iter().any(Predicate::is_positional);
+            for predicate in &step.predicates {
+                let Predicate::StringCompare {
+                    func,
+                    source,
+                    value,
+                } = predicate
+                else {
+                    continue;
+                };
+                if let Some(existing) = probes.iter_mut().find(|p| {
+                    p.func == *func
+                        && p.source == source
+                        && p.value == value
+                        && *p.test == step.test
+                }) {
+                    existing.positional |= positional;
+                } else {
+                    probes.push(AnchorProbe {
+                        entry: entry_idx,
+                        step: step_idx,
+                        test: &step.test,
+                        func: *func,
                         source,
                         value,
-                    } = predicate
-                    else {
-                        continue;
-                    };
-                    if let (StringFunction::Equals, TextSource::Attribute(name)) = (func, source) {
-                        let pair = (name.clone(), value.clone());
-                        if !anchor_pairs.contains(&pair) {
-                            anchor_pairs.push(pair);
-                        }
-                    }
-                    if let Some(existing) = probes.iter_mut().find(|p| {
-                        p.func == *func
-                            && p.source == *source
-                            && p.value == *value
-                            && p.test == step.test
-                    }) {
-                        existing.positional |= positional;
-                    } else {
-                        probes.push(AnchorProbe {
-                            entry: entry_idx,
-                            step: step_idx,
-                            test: step.test.clone(),
-                            func: *func,
-                            source: source.clone(),
-                            value: value.clone(),
-                            positional,
-                        });
-                    }
+                        positional,
+                    });
                 }
             }
         }
-        CompiledVerify {
-            extractor: bundle.compile_extractor().map_err(|e| e.to_string()),
-            probes,
-            anchor_pairs,
-        }
     }
-
-    /// Runs the compiled extractor, reporting either error the uncompiled
-    /// path has always reported (compile failure or evaluation failure) as
-    /// the `ExtractionFailed` message.
-    pub(crate) fn extract(
-        &self,
-        cx: &mut EvalContext,
-        doc: &Document,
-    ) -> Result<Vec<NodeId>, String> {
-        match &self.extractor {
-            Ok(extractor) => extractor
-                .extract_with(cx, doc, doc.root())
-                .map_err(|e| e.to_string()),
-            Err(message) => Err(message.clone()),
-        }
-    }
-
-    /// [`LastKnownGood::capture`] plus the carrier census of every attribute
-    /// anchor of the compiled bundle.  Both censuses come from the
-    /// document's attribute index (see `wi_dom::attrs`): the value census is
-    /// a shared `Arc` clone and each carrier count one integer-keyed probe.
-    pub(crate) fn capture(&self, doc: &Document, day: i64, nodes: &[NodeId]) -> LastKnownGood {
-        let mut lkg = LastKnownGood::capture(doc, day, nodes);
-        lkg.anchor_carriers = self
-            .anchor_pairs
-            .iter()
-            .map(|(attribute, value)| AnchorCarrier {
-                attribute: attribute.clone(),
-                value: value.clone(),
-                count: doc.carrier_count(attribute, value),
-                stable_observations: 0,
-                neighborhood: capture_neighborhood(doc, attribute, value, nodes),
-                neighborhood_stable: 0,
-            })
-            .collect();
-        lkg
-    }
+    probes
 }
 
 /// Emits an [`HealthSignal::AnchorMissing`] for every equality/prefix anchor
@@ -699,35 +638,35 @@ impl CompiledVerify {
 /// an [`HealthSignal::AnchorCensusDrift`] for every positionally-masked
 /// anchor whose carrier count left its historically stable census.
 ///
-/// Anchors were deduplicated across entries and steps when the probe list
-/// was built (ensemble members typically share anchors), so each distinct
-/// anchor is scanned — and signalled — at most once.  Attribute anchors are
+/// Anchors are deduplicated across entries and steps (ensemble members
+/// typically share anchors; see `anchor_probes`), so each distinct anchor
+/// is scanned — and signalled — at most once.  Attribute anchors are
 /// probed through the tag index (`div[@class="x"]` only scans `div`
 /// elements); text anchors need a per-element normalized-text scan, which is
 /// the one expensive probe, so it only runs on snapshots some other signal
 /// already marked unhealthy (it is diagnostic, never the deciding signal).
 fn probe_anchors(
-    probes: &[AnchorProbe],
+    bundle: &WrapperBundle,
     doc: &Document,
     lkg: Option<&LastKnownGood>,
     already_unhealthy: bool,
     signals: &mut Vec<HealthSignal>,
 ) {
-    for probe in probes {
+    for probe in anchor_probes(bundle) {
         // Census drift: only meaningful for attribute anchors inside
         // positionally-filtered steps, where the extraction count cannot
         // reflect a carrier change.
         if probe.positional {
             if let (Some(lkg), StringFunction::Equals, TextSource::Attribute(name)) =
-                (lkg, probe.func, &probe.source)
+                (lkg, probe.func, probe.source)
             {
-                if let Some(census) = lkg.anchor_census(name, &probe.value) {
+                if let Some(census) = lkg.anchor_census(name, probe.value) {
                     if census.stable_observations >= 2 {
-                        let got = count_carriers(doc, name, &probe.value);
+                        let got = count_carriers(doc, name, probe.value);
                         if got != census.count {
                             signals.push(HealthSignal::AnchorCensusDrift {
                                 attribute: name.clone(),
-                                value: probe.value.clone(),
+                                value: probe.value.to_string(),
                                 expected: census.count,
                                 got,
                             });
@@ -736,26 +675,26 @@ fn probe_anchors(
                 }
             }
         }
-        let present = match &probe.source {
+        let present = match probe.source {
             TextSource::Attribute(name) => {
-                attribute_value_occurs(doc, &probe.test, name, &probe.value, probe.func)
+                attribute_value_occurs(doc, probe.test, name, probe.value, probe.func)
             }
             TextSource::NormalizedText => {
                 if !already_unhealthy {
                     continue; // diagnostic only; skip the expensive scan
                 }
-                text_anchor_occurs(doc, &probe.value, probe.func)
+                text_anchor_occurs(doc, probe.value, probe.func)
             }
         };
         if !present {
             signals.push(HealthSignal::AnchorMissing {
                 entry: probe.entry,
                 step: probe.step,
-                attribute: match &probe.source {
+                attribute: match probe.source {
                     TextSource::Attribute(name) => name.clone(),
                     TextSource::NormalizedText => ".".to_string(),
                 },
-                value: probe.value.clone(),
+                value: probe.value.to_string(),
             });
         }
     }

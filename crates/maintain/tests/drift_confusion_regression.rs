@@ -22,6 +22,7 @@ use wi_dom::Document;
 use wi_induction::{WrapperBundle, WrapperInducer};
 use wi_maintain::{DriftClass, Maintainer, MaintenanceLog, PageVersion, WrapperState};
 use wi_scoring::ScoringParams;
+use wi_xpath::parse_query;
 
 /// Two blocks share the anchor class; only the first holds the target.
 fn page_with_both_blocks() -> Document {
@@ -50,7 +51,8 @@ fn masked_bundle(doc: &Document) -> WrapperBundle {
         .unwrap();
     let mut bundle =
         WrapperBundle::from_wrapper(&wrapper, ScoringParams::paper_defaults()).with_label("blk");
-    bundle.entries[0].expression = r#"descendant::div[@class="blk"][1]/child::span[1]"#.to_string();
+    bundle.entries[0].query =
+        parse_query(r#"descendant::div[@class="blk"][1]/child::span[1]"#).unwrap();
     bundle
 }
 

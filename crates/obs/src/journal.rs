@@ -1,7 +1,7 @@
 //! The bounded global journal that per-thread rings drain into.
 //!
 //! Producers never touch the journal: they push into their own SPSC
-//! [`Ring`](crate::ring::Ring).  Readers (the `/debug/trace` handler, the
+//! [`Ring`].  Readers (the `/debug/trace` handler, the
 //! bench drainer) call [`Journal::drain`], which — under the journal's own
 //! mutex, making it the single consumer every ring requires — moves all
 //! pending ring records into one bounded `VecDeque`.  When the deque is

@@ -8,8 +8,8 @@
 //!
 //! * **Tracing** ([`trace`]): [`Span`](trace::Record)/event records with
 //!   monotonic `Instant`-anchored timestamps ([`clock`]), RAII
-//!   [`span`](trace::span) guards and guard-free
-//!   [`record_span`](trace::record_span), per-thread lock-free SPSC
+//!   [`span`] guards and guard-free
+//!   [`record_span`], per-thread lock-free SPSC
 //!   [rings](ring::Ring) drained into a bounded global
 //!   [journal](journal::Journal), and a top-K slow-span log.  Surfaced by
 //!   the daemon as `GET /debug/trace` (NDJSON) and `GET /debug/slow`.

@@ -3,7 +3,7 @@
 //! The daemon's counters live in a per-daemon [`wi_obs::Registry`] (its
 //! own instance, not [`wi_obs::Registry::global`], so parallel daemons in
 //! one test process never cross-count).  Handles are resolved once at
-//! construction — one per endpoint via the exhaustive [`Endpoint::index`]
+//! construction — one per endpoint via the exhaustive `Endpoint::index`
 //! — and every record afterwards is a relaxed `fetch_add`: per-endpoint
 //! request and error counts, fixed-bucket latency histograms, per-shard
 //! request counts (the `shard_of` partition made observable), and gauges

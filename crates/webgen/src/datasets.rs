@@ -55,7 +55,7 @@ pub fn multi_node_tasks(count: usize) -> Vec<WrapperTask> {
 }
 
 /// The IMDB-style movie site used to replicate the experiment of Dalvi et
-/// al. [6]: director names on movie detail pages, tracked over bi-monthly
+/// al. \[6\]: director names on movie detail pages, tracked over bi-monthly
 /// snapshots between 2004 and 2008.
 pub fn imdb_director_task() -> WrapperTask {
     // A movie site with Microdata markup, like the real IMDB of that era's

@@ -20,8 +20,8 @@
 //!   20-day intervals between 2008-01-01 and 2013-12-31.
 //! * **Evaluation datasets** ([`tasks`], [`datasets`]) — the single-node and
 //!   multi-node wrapper tasks (with hand-written "human" wrappers), the
-//!   IMDB-style pages for the comparison with Dalvi et al. [6], the
-//!   same-template hotel pages for the comparison with WEIR [2], and the
+//!   IMDB-style pages for the comparison with Dalvi et al. \[6\], the
+//!   same-template hotel pages for the comparison with WEIR \[2\], and the
 //!   product-listing pages used in the NER noise experiment.
 //! * **Annotation noise** ([`ner`], [`noise`]) — a simulated entity
 //!   recogniser with calibrated error rates and the four synthetic noise

@@ -117,7 +117,7 @@ fn main() {
             version.revision, version.day, version.cause
         );
         for entry in &version.bundle.entries {
-            println!("    {}", entry.expression);
+            println!("    {}", entry.query);
         }
     }
 
