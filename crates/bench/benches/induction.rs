@@ -12,6 +12,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Instant;
+use wi_bench::spread;
 use wi_dom::{Document, NodeId};
 use wi_induction::{induce, induce_reference, InductionConfig, Sample};
 use wi_webgen::datasets::{multi_node_tasks, single_node_tasks};
@@ -61,8 +62,8 @@ fn bench_induction(c: &mut Criterion) {
     });
 }
 
-/// Wall-clock tasks/second for both engines, recorded into
-/// BENCH_induction.json by hand.
+/// Wall-clock time for both engines over 5 runs, printed as median and
+/// min–max and recorded into BENCH_induction.json by hand.
 fn record_throughput() {
     let pages = build_workload();
     let config = InductionConfig::default();
@@ -71,26 +72,29 @@ fn record_throughput() {
         .unwrap_or(1);
 
     let runs = 5;
-    let mut naive_s = f64::MAX;
-    let mut trie_s = f64::MAX;
+    let mut naive_s = Vec::with_capacity(runs);
+    let mut trie_s = Vec::with_capacity(runs);
     for _ in 0..runs {
         let t = Instant::now();
         black_box(run_all(&pages, &config, induce_reference));
-        naive_s = naive_s.min(t.elapsed().as_secs_f64());
+        naive_s.push(t.elapsed().as_secs_f64());
 
         let t = Instant::now();
         black_box(run_all(&pages, &config, induce));
-        trie_s = trie_s.min(t.elapsed().as_secs_f64());
+        trie_s.push(t.elapsed().as_secs_f64());
     }
+    let speedup: Vec<f64> = naive_s.iter().zip(&trie_s).map(|(n, t)| n / t).collect();
+    let ms = |samples: &[f64]| {
+        let (median, min, max) = spread(samples);
+        format!("{:.1} ms [{:.1}-{:.1}]", median * 1e3, min * 1e3, max * 1e3)
+    };
+    let (speedup, speedup_min, speedup_max) = spread(&speedup);
     println!(
-        "induction throughput: {} tasks, {} cores; naive {:.2} tasks/s ({:.1} ms), trie {:.2} tasks/s ({:.1} ms), speedup {:.2}x",
+        "induction throughput: {} tasks, {cores} cores, {runs} runs, median [min-max]; \
+         naive {}, trie {}, speedup {speedup:.2}x [{speedup_min:.2}-{speedup_max:.2}]",
         pages.len(),
-        cores,
-        pages.len() as f64 / naive_s,
-        naive_s * 1e3,
-        pages.len() as f64 / trie_s,
-        trie_s * 1e3,
-        naive_s / trie_s
+        ms(&naive_s),
+        ms(&trie_s),
     );
 }
 

@@ -8,6 +8,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Instant;
+use wi_bench::spread;
 use wi_dom::{Document, NodeId};
 use wi_webgen::date::Day;
 use wi_webgen::site::{PageKind, Site};
@@ -128,7 +129,8 @@ fn bench_descendant_tag_step(c: &mut Criterion) {
     });
 }
 
-/// Times a routine over `iters` runs and returns mean seconds per run.
+/// Times a routine over `iters` iterations and returns mean seconds per
+/// iteration.
 fn time_per_iter<T>(iters: u32, mut routine: impl FnMut() -> T) -> f64 {
     black_box(routine()); // warm-up
     let start = Instant::now();
@@ -138,50 +140,55 @@ fn time_per_iter<T>(iters: u32, mut routine: impl FnMut() -> T) -> f64 {
     start.elapsed().as_secs_f64() / iters as f64
 }
 
-/// Measures the headline indexed-vs-unindexed sort and writes
-/// `BENCH_order_index.json` at the workspace root.
+/// Measures the headline indexed-vs-unindexed sort over 5 runs and prints
+/// median and min–max per figure (recorded into `BENCH_order_index.json`
+/// by hand).
 fn record_json(_c: &mut Criterion) {
     let doc = webgen_page(1000);
     let nodes = all_nodes(&doc);
     let input = shuffled(&nodes, 42);
     let _ = doc.order_index();
-    let iters = 200;
-    let indexed = time_per_iter(iters, || {
-        let mut v = input.clone();
-        doc.sort_document_order(&mut v);
-        v
-    });
-    let unindexed = time_per_iter(20, || {
-        let mut v = input.clone();
-        sort_unindexed(&doc, &mut v);
-        v
-    });
-    let build = time_per_iter(iters, || {
-        let mut d = doc.clone();
-        // Cloning keeps the cached index; force a rebuild through a no-op
-        // structural edit to measure the build cost itself.
-        let extra = d.create_element("i", vec![]);
-        let body = d.elements_by_tag("body")[0];
-        d.append_child(body, extra).unwrap();
-        d.order_index().len()
-    });
-    let speedup = unindexed / indexed;
+    let runs = 5;
+    let (mut indexed, mut unindexed, mut build) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..runs {
+        indexed.push(time_per_iter(200, || {
+            let mut v = input.clone();
+            doc.sort_document_order(&mut v);
+            v
+        }));
+        unindexed.push(time_per_iter(20, || {
+            let mut v = input.clone();
+            sort_unindexed(&doc, &mut v);
+            v
+        }));
+        build.push(time_per_iter(200, || {
+            let mut d = doc.clone();
+            // Cloning keeps the cached index; force a rebuild through a
+            // no-op structural edit to measure the build cost itself.
+            let extra = d.create_element("i", vec![]);
+            let body = d.elements_by_tag("body")[0];
+            d.append_child(body, extra).unwrap();
+            d.order_index().len()
+        }));
+    }
+    let speedups: Vec<f64> = unindexed.iter().zip(&indexed).map(|(u, i)| u / i).collect();
+    let us = |samples: &[f64]| {
+        let (median, min, max) = spread(samples);
+        format!("{:.2} us [{:.2}-{:.2}]", median * 1e6, min * 1e6, max * 1e6)
+    };
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"page_nodes\": {},\n  \"machine_cores\": {},\n  \"sort_indexed_us\": {:.2},\n  \"sort_unindexed_us\": {:.2},\n  \"speedup\": {:.1},\n  \"index_build_plus_mutation_us\": {:.2},\n  \"iters_indexed\": {},\n  \"iters_unindexed\": 20\n}}\n",
+    let (speedup, speedup_min, speedup_max) = spread(&speedups);
+    println!(
+        "order index: {} page nodes, {cores} cores, {runs} runs, median [min-max]; \
+         sort indexed {} (200 iters), sort unindexed {} (20 iters), \
+         index build + mutation {} (200 iters), speedup {speedup:.1}x [{speedup_min:.1}-{speedup_max:.1}]",
         nodes.len(),
-        cores,
-        indexed * 1e6,
-        unindexed * 1e6,
-        speedup,
-        build * 1e6,
-        iters,
+        us(&indexed),
+        us(&unindexed),
+        us(&build),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_order_index.json");
-    std::fs::write(path, &json).expect("write BENCH_order_index.json");
-    println!("bench order_index_speedup                        {speedup:>10.1} x  (recorded in BENCH_order_index.json)");
     assert!(
         speedup >= 5.0,
         "order index must be at least 5x faster than the path-based sort, got {speedup:.1}x"

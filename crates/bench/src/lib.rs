@@ -16,3 +16,20 @@ pub use wi_eval::Scale;
 pub fn bench_scale() -> Scale {
     Scale::tiny()
 }
+
+/// The median, minimum and maximum of a set of timed runs: the spread every
+/// `BENCH_*.json` figure is recorded with (an odd run count keeps the
+/// median a measured value; an even one takes the upper middle).
+///
+/// # Panics
+///
+/// Panics on an empty or NaN-holding sample set.
+pub fn spread(samples: &[f64]) -> (f64, f64, f64) {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("timings are not NaN"));
+    (
+        sorted[sorted.len() / 2],
+        sorted[0],
+        sorted[sorted.len() - 1],
+    )
+}

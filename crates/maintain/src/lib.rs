@@ -26,19 +26,23 @@
 //!    ([`WrapperInducer::try_induce_from_texts`]).  Either path hot-swaps the
 //!    bundle: the replacement carries the same label, a bumped revision and a
 //!    provenance note.
-//! 4. **Version** ([`Registry`]) — bundles are versioned per site; the
-//!    parallel [`Registry::maintain_batch`] driver runs whole archives of
-//!    sites through the loop with one evaluation context per worker,
-//!    mirroring `Extractor::extract_batch`.
-//! 5. **Persist** ([`PersistentRegistry`]) — the production registry: site
-//!    histories sharded by FxHash of the site key, each shard an append-only
-//!    checksummed JSON-lines version log with a manifest.
-//!    [`PersistentRegistry::recover`] replays the logs back into the live
-//!    map (restoring the longest valid record prefix and surfacing anything
-//!    dropped as a typed [`RegistryError`]),
-//!    [`PersistentRegistry::maintain_batch`] persists every revision plus
+//! 4. **Version** ([`Registry`]) — bundles are versioned per site, next to
 //!    each site's maintenance position (last-known-good, lifecycle state,
-//!    retirement streak) so restarts resume timelines byte-identically, and
+//!    retirement streak, last maintained day); every change is a
+//!    [`LogRecord`] folded in by one `apply`.  The parallel
+//!    [`Registry::maintain_batch`] driver runs whole archives of sites
+//!    through the loop with one evaluation context per worker, mirroring
+//!    `Extractor::extract_batch`, and resumes each site where its previous
+//!    batch stopped.
+//! 5. **Persist** ([`PersistentRegistry`]) — the production registry: the
+//!    same [`Registry`] plus its shard logs, site histories sharded by
+//!    FxHash of the site key, each shard an append-only checksummed
+//!    JSON-lines version log with a manifest.  Every record is logged before
+//!    it is applied, and [`PersistentRegistry::recover`] folds the logs back
+//!    through the same `apply` (restoring the longest valid record prefix
+//!    and surfacing anything dropped as a typed [`RegistryError`]), so
+//!    [`PersistentRegistry::maintain_batch`] resumes timelines
+//!    byte-identically across restarts, and
 //!    [`PersistentRegistry::compact`] bounds log growth to
 //!    last-known-good + a retained audit tail.  See the
 //!    [`registry`] module docs for the on-disk layout.

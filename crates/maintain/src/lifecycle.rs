@@ -169,8 +169,9 @@ impl Maintainer {
         Maintainer { config, inducer }
     }
 
-    /// Runs the maintenance loop over a timeline, allocating a fresh
-    /// evaluation context.
+    /// Runs the maintenance loop over a timeline from a fresh start
+    /// (`Monitoring`, no retirement streak), allocating a fresh evaluation
+    /// context and re-inducing with the maintainer's own inducer.
     pub fn run(
         &self,
         label: &str,
@@ -178,57 +179,32 @@ impl Maintainer {
         pages: &[PageVersion],
         seed_lkg: Option<LastKnownGood>,
     ) -> MaintenanceLog {
-        self.run_with(&mut EvalContext::new(), label, bundle, pages, seed_lkg)
-    }
-
-    /// Runs the maintenance loop over a timeline, reusing the caller's
-    /// evaluation context (the batch driver passes one per worker).
-    pub fn run_with(
-        &self,
-        cx: &mut EvalContext,
-        label: &str,
-        bundle: WrapperBundle,
-        pages: &[PageVersion],
-        seed_lkg: Option<LastKnownGood>,
-    ) -> MaintenanceLog {
-        self.run_with_inducer(cx, label, bundle, pages, seed_lkg, &self.inducer)
-    }
-
-    /// Like [`run_with`](Maintainer::run_with) with an explicit re-induction
-    /// inducer: batch jobs override the shared maintainer's inducer when
-    /// their site needs a different induction configuration (e.g. its own
-    /// template-label text policy).
-    pub fn run_with_inducer(
-        &self,
-        cx: &mut EvalContext,
-        label: &str,
-        bundle: WrapperBundle,
-        pages: &[PageVersion],
-        seed_lkg: Option<LastKnownGood>,
-        inducer: &WrapperInducer,
-    ) -> MaintenanceLog {
         self.run_resumed(
-            cx,
+            &mut EvalContext::new(),
             label,
             bundle,
             pages,
             seed_lkg,
-            inducer,
+            &self.inducer,
             WrapperState::Monitoring,
             0,
         )
     }
 
-    /// Like [`run_with_inducer`](Maintainer::run_with_inducer), but resuming
-    /// from an explicit lifecycle position: the wrapper state and the
+    /// Runs the maintenance loop over a timeline, resuming from an explicit
+    /// lifecycle position: the wrapper state and the
     /// consecutive-`TargetRemoved` failure streak a previous run ended with
-    /// (see [`MaintenanceLog::target_gone_streak`]).  This is what makes a
-    /// timeline *splittable*: running the first half, persisting
+    /// (see [`MaintenanceLog::target_gone_streak`]).  The caller's
+    /// evaluation context is reused (the batch driver passes one per
+    /// worker), and `inducer` runs re-induction repairs (batch jobs may
+    /// override the shared maintainer's, e.g. with their site's own
+    /// template-label text policy).  This is what makes a
+    /// timeline *splittable*: running the first half, keeping
     /// `(bundle, lkg, state, streak)`, and resuming over the second half is
-    /// byte-identical to one uninterrupted run — the persistent registry's
-    /// restart guarantee is built on it.  A wrapper resumed as
-    /// [`WrapperState::Retired`] keeps being verified but not repaired,
-    /// exactly as if it had retired mid-run.
+    /// byte-identical to one uninterrupted run — the registry's batches
+    /// and the persistent registry's restart guarantee are built on it.  A
+    /// wrapper resumed as [`WrapperState::Retired`] keeps being verified
+    /// but not repaired, exactly as if it had retired mid-run.
     #[allow(clippy::too_many_arguments)]
     pub fn run_resumed(
         &self,

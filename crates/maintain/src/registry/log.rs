@@ -206,37 +206,6 @@ impl LogRecord {
     }
 }
 
-/// A borrowed [`LogRecord`]: the encoding paths (batch commit, compaction)
-/// serialize records straight out of live registry state, and an owned
-/// record would deep-clone every last-known-good state just to render and
-/// drop it.  A revision carries the **already-stored** content digest of
-/// its bundle — callers store the bundle first ([`ObjectStore::store`]),
-/// then encode — so encoding a record can never reference an object that
-/// is not yet durable.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RecordRef<'a> {
-    /// See [`LogRecord::Revision`].
-    Revision {
-        site: &'a str,
-        day: i64,
-        revision: u32,
-        cause: &'a str,
-        bundle_digest: u64,
-    },
-    /// See [`LogRecord::Lkg`].
-    Lkg {
-        site: &'a str,
-        lkg: &'a LastKnownGood,
-    },
-    /// See [`LogRecord::State`].
-    State {
-        site: &'a str,
-        day: i64,
-        state: WrapperState,
-        target_gone_streak: u32,
-    },
-}
-
 /// FxHash64 of a rendered record body — the per-line checksum, and the
 /// content digest of the object store and the snapshot manifest.
 pub(crate) fn checksum(body: &str) -> u64 {
@@ -414,46 +383,49 @@ fn lkg_from_json(value: &JsonValue) -> Result<LastKnownGood, String> {
     })
 }
 
-fn record_to_json(record: RecordRef<'_>) -> JsonValue {
-    match record {
-        RecordRef::Revision {
+/// Renders a record's JSON body.  A revision's bundle is stored into
+/// `objects` first (idempotent) and referenced by its digest, so a rendered
+/// record never references an object that is not yet durable.
+fn record_to_json(record: &LogRecord, objects: &ObjectStore) -> Result<JsonValue, RegistryError> {
+    Ok(match record {
+        LogRecord::Revision {
             site,
             day,
             revision,
             cause,
-            bundle_digest,
+            bundle,
         } => JsonValue::Object(vec![
             ("type".into(), JsonValue::String("revision".into())),
-            ("site".into(), JsonValue::String(site.to_string())),
-            ("day".into(), JsonValue::Number(day as f64)),
-            ("revision".into(), JsonValue::Number(f64::from(revision))),
-            ("cause".into(), JsonValue::String(cause.to_string())),
+            ("site".into(), JsonValue::String(site.clone())),
+            ("day".into(), JsonValue::Number(*day as f64)),
+            ("revision".into(), JsonValue::Number(f64::from(*revision))),
+            ("cause".into(), JsonValue::String(cause.clone())),
             (
                 "bundle_digest".into(),
-                JsonValue::String(format!("{bundle_digest:016x}")),
+                JsonValue::String(format!("{:016x}", objects.store(bundle)?)),
             ),
         ]),
-        RecordRef::Lkg { site, lkg } => JsonValue::Object(vec![
+        LogRecord::Lkg { site, lkg } => JsonValue::Object(vec![
             ("type".into(), JsonValue::String("lkg".into())),
-            ("site".into(), JsonValue::String(site.to_string())),
+            ("site".into(), JsonValue::String(site.clone())),
             ("lkg".into(), lkg_to_json(lkg)),
         ]),
-        RecordRef::State {
+        LogRecord::State {
             site,
             day,
             state,
             target_gone_streak,
         } => JsonValue::Object(vec![
             ("type".into(), JsonValue::String("state".into())),
-            ("site".into(), JsonValue::String(site.to_string())),
-            ("day".into(), JsonValue::Number(day as f64)),
-            ("state".into(), JsonValue::String(state_name(state).into())),
+            ("site".into(), JsonValue::String(site.clone())),
+            ("day".into(), JsonValue::Number(*day as f64)),
+            ("state".into(), JsonValue::String(state_name(*state).into())),
             (
                 "target_gone_streak".into(),
-                JsonValue::Number(f64::from(target_gone_streak)),
+                JsonValue::Number(f64::from(*target_gone_streak)),
             ),
         ]),
-    }
+    })
 }
 
 fn record_from_json(value: &JsonValue, objects: &ObjectStore) -> Result<LogRecord, String> {
@@ -512,44 +484,11 @@ fn record_from_json(value: &JsonValue, objects: &ObjectStore) -> Result<LogRecor
 /// revision's bundle is stored into `objects` first (idempotent), so the
 /// returned line only ever references a durable object.
 pub fn encode_record(record: &LogRecord, objects: &ObjectStore) -> Result<String, RegistryError> {
-    Ok(match record {
-        LogRecord::Revision {
-            site,
-            day,
-            revision,
-            cause,
-            bundle,
-        } => encode_record_ref(RecordRef::Revision {
-            site,
-            day: *day,
-            revision: *revision,
-            cause,
-            bundle_digest: objects.store(bundle)?,
-        }),
-        LogRecord::Lkg { site, lkg } => encode_record_ref(RecordRef::Lkg { site, lkg }),
-        LogRecord::State {
-            site,
-            day,
-            state,
-            target_gone_streak,
-        } => encode_record_ref(RecordRef::State {
-            site,
-            day: *day,
-            state: *state,
-            target_gone_streak: *target_gone_streak,
-        }),
-    })
-}
-
-/// [`encode_record`] over a borrowed record: the commit and compaction
-/// paths render straight out of live registry state without cloning the
-/// embedded bundle.
-pub(crate) fn encode_record_ref(record: RecordRef<'_>) -> String {
-    let body = record_to_json(record).to_compact();
-    format!(
+    let body = record_to_json(record, objects)?.to_compact();
+    Ok(format!(
         "{{\"sum\":\"{:016x}\",\"record\":{body}}}\n",
         checksum(&body)
-    )
+    ))
 }
 
 /// Splits and checksums the canonical line envelope, returning the record

@@ -2,31 +2,33 @@
 //! parallel batch driver that runs many sites' timelines through the
 //! maintenance loop.
 //!
-//! Two registries share one contract:
+//! There is one live map and one commit path:
 //!
-//! * [`Registry`] — the in-memory reference: a plain map from site key to
-//!   version history.  Fast, simple, forgets everything on drop.  It is the
-//!   semantic baseline the persistent path is tested against.
-//! * [`PersistentRegistry`] — the production shape: site histories
-//!   partitioned into N shards by FxHash of the site key, each shard backed
-//!   by numbered, size-bounded, checksummed JSON-lines **segments** plus a
-//!   manifest, with wrapper bundles deduplicated into a content-addressed
-//!   object store (see [`log`] for the record schema, [`shard`]
-//!   for the on-disk layout and [`objects`] for the bundle
-//!   store).  [`recover`](PersistentRegistry::recover) replays the segments
-//!   back into the live map, tolerating a torn final record;
+//! * [`Registry`] — the live map: per site, its version history and its
+//!   *maintenance position* (last-known-good state, lifecycle state,
+//!   retirement streak and last maintained day).  Every change to it is a
+//!   [`LogRecord`] folded in by one function, `Registry::apply`.  A batch
+//!   resumes each site from its position (`Maintainer::run_resumed` does
+//!   the splicing): a timeline run as two batches ends exactly where one
+//!   uninterrupted batch ends, and re-submitted days are skipped.  Used on
+//!   its own, the registry forgets everything on drop.
+//! * [`PersistentRegistry`] — a `Registry` plus its shard log: each
+//!   committed record is appended to the site's shard log before the live
+//!   map applies it, and [`recover`](PersistentRegistry::recover) folds the
+//!   logged records back through the same `apply` (tolerating a torn final
+//!   record), so a restarted service resumes a timeline byte-identically to
+//!   a process that never stopped.  Site histories are partitioned into N
+//!   shards by FxHash of the site key, each shard backed by numbered,
+//!   size-bounded, checksummed JSON-lines **segments** plus a manifest,
+//!   with wrapper bundles deduplicated into a content-addressed object
+//!   store (see [`log`] for the record schema, [`shard`] for the on-disk
+//!   layout and [`objects`] for the bundle store).
 //!   [`compact`](PersistentRegistry::compact) rewrites only segments below
-//!   a live-record ratio floor (see [`compact`] module
-//!   docs); and [`snapshot`](PersistentRegistry::snapshot) /
+//!   a live-record ratio floor (see [`compact`] module docs); and
+//!   [`snapshot`](PersistentRegistry::snapshot) /
 //!   [`replicate_to`](PersistentRegistry::replicate_to) /
 //!   [`restore`](PersistentRegistry::restore) move whole registries between
 //!   directories and machines.
-//!
-//! The persistent [`maintain_batch`](PersistentRegistry::maintain_batch)
-//! additionally persists each site's *maintenance position* — last-known
-//! -good state, lifecycle state and retirement streak — so a restarted
-//! service resumes a timeline byte-identically to a process that never
-//! stopped (`Maintainer::run_resumed` does the splicing).
 
 pub mod compact;
 mod lock;
@@ -82,6 +84,8 @@ pub struct MaintenanceJob {
     pub pages: Vec<PageVersion>,
     /// Optional seed last-known-good state (e.g. from the induction
     /// snapshot); without one the first healthy snapshot bootstraps it.
+    /// Only a never-maintained site uses it: the registry's stored state
+    /// wins once the site has one.
     pub seed_lkg: Option<LastKnownGood>,
     /// Optional re-induction inducer override for this site (e.g. carrying
     /// the site's template-label text policy); the shared maintainer's
@@ -89,15 +93,21 @@ pub struct MaintenanceJob {
     pub inducer: Option<wi_induction::WrapperInducer>,
 }
 
-/// Versioned bundle storage per site.
+/// Versioned bundle storage per site, with each site's maintenance
+/// position.
 ///
 /// The registry is the single source of truth for "which wrapper extracts
-/// site X right now": [`install`](Registry::install) records revision 0,
-/// every validated repair appends a new [`VersionRecord`], and
-/// [`current`](Registry::current) always answers with the newest revision.
+/// site X right now, and where did its maintenance stop":
+/// [`install`](Registry::install) records revision 0, every validated
+/// repair appends a new [`VersionRecord`], each batch leaves the site's
+/// last-known-good state, lifecycle state, retirement streak and last
+/// maintained day behind, and [`current`](Registry::current) always
+/// answers with the newest revision.  All of it changes only through
+/// `apply`, one [`LogRecord`] at a time — the records
+/// [`PersistentRegistry`] logs.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    sites: BTreeMap<String, Vec<VersionRecord>>,
+    sites: BTreeMap<String, SiteEntry>,
 }
 
 impl Registry {
@@ -106,29 +116,27 @@ impl Registry {
         Registry::default()
     }
 
-    /// Installs a (freshly induced) bundle for a site.
+    /// Installs a (freshly induced) bundle for a site.  Installing over an
+    /// existing site appends to its history (the persistent registry
+    /// refuses that instead).
     pub fn install(&mut self, site: impl Into<String>, bundle: WrapperBundle, day: i64) {
-        let site = site.into();
-        let record = VersionRecord {
-            revision: bundle.revision,
-            day,
-            cause: "installed".to_string(),
-            bundle,
-        };
-        self.sites.entry(site).or_default().push(record);
+        self.apply(installed(site.into(), bundle, day));
     }
 
     /// The bundle currently in force for a site.
     pub fn current(&self, site: &str) -> Option<&WrapperBundle> {
         self.sites
             .get(site)
-            .and_then(|versions| versions.last())
+            .and_then(|entry| entry.versions.last())
             .map(|record| &record.bundle)
     }
 
-    /// The full version history of a site, oldest first.
+    /// The full retained version history of a site, oldest first.
     pub fn history(&self, site: &str) -> &[VersionRecord] {
-        self.sites.get(site).map(Vec::as_slice).unwrap_or(&[])
+        self.sites
+            .get(site)
+            .map(|entry| entry.versions.as_slice())
+            .unwrap_or(&[])
     }
 
     /// The registered site keys, sorted.
@@ -136,12 +144,40 @@ impl Registry {
         self.sites.keys().map(String::as_str)
     }
 
+    /// Number of registered sites.
+    pub fn site_count(&self) -> usize {
+        self.sites.len()
+    }
+
+    /// The lifecycle state a site's last maintenance batch ended in
+    /// (`Monitoring` before its first one).
+    pub fn state(&self, site: &str) -> Option<WrapperState> {
+        self.sites.get(site).map(|entry| entry.state)
+    }
+
+    /// The last-known-good verification state a site's maintenance
+    /// resumes from.
+    pub fn lkg(&self, site: &str) -> Option<&LastKnownGood> {
+        self.sites.get(site).and_then(|entry| entry.lkg.as_ref())
+    }
+
     /// Runs every job's timeline through the maintenance loop and commits
-    /// the resulting revisions, fanning the jobs out over the available
-    /// cores.  One [`EvalContext`] is created per worker and reused for the
-    /// worker's whole chunk, mirroring `Extractor::extract_batch`; the
-    /// results (and the committed history) are exactly those of
+    /// the resulting revisions and maintenance positions, fanning the jobs
+    /// out over the available cores.  One [`EvalContext`] is created per
+    /// worker and reused for the worker's whole chunk, mirroring
+    /// `Extractor::extract_batch`; the results (and the committed state)
+    /// are exactly those of
     /// [`maintain_batch_sequential`](Registry::maintain_batch_sequential).
+    ///
+    /// Each site **resumes** where its previous batch stopped: from its
+    /// stored last-known-good state (a job's `seed_lkg` only bootstraps a
+    /// never-maintained site), lifecycle state and retirement streak.
+    /// Re-submission is **idempotent per day**: pages at or before a site's
+    /// last maintained day are skipped (their outcomes are simply absent
+    /// from the returned log), so splitting a timeline over several batches
+    /// — or replaying a batch — yields the outcomes and history of one
+    /// uninterrupted run.  Pages must be oldest-first, as
+    /// [`MaintenanceJob::pages`] requires.
     ///
     /// The fan-out is **adaptive**: on a single-core machine
     /// (`available_parallelism() == 1`), or when the batch is too small to
@@ -183,50 +219,177 @@ impl Registry {
         maintainer: &Maintainer,
         workers: usize,
     ) -> Vec<MaintenanceLog> {
-        // Snapshot the current bundle of every job up front so the run is
-        // independent of commit order; duplicate sites get no bundle (and
-        // therefore an empty log) so they cannot fork the version history.
+        let logs = self.run_batch(jobs, maintainer, workers);
+        for record in batch_records(jobs, &logs) {
+            self.apply(record);
+        }
+        logs
+    }
+
+    /// Runs a batch against the current map without committing anything:
+    /// each job resumes from its site's stored position (see
+    /// [`maintain_batch`](Registry::maintain_batch)).  Duplicate and
+    /// uninstalled sites get an empty log, so they cannot fork a history.
+    fn run_batch(
+        &self,
+        jobs: &[MaintenanceJob],
+        maintainer: &Maintainer,
+        workers: usize,
+    ) -> Vec<MaintenanceLog> {
         let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
-        let bundles: Vec<Option<WrapperBundle>> = jobs
+        let entries: Vec<Option<&SiteEntry>> = jobs
             .iter()
             .map(|job| {
                 if !seen.insert(&job.site) {
                     return None;
                 }
-                self.current(&job.site).cloned()
+                self.sites.get(&job.site)
             })
             .collect();
-
-        let logs = fan_out(jobs, &bundles, workers, &|cx,
-                                                      job,
-                                                      bundle: &Option<
-            WrapperBundle,
-        >| {
-            run_job(cx, maintainer, job, bundle.as_ref())
-        });
-
-        // Commit the new revisions, in job order.
-        for (job, log) in jobs.iter().zip(&logs) {
-            let Some(versions) = self.sites.get_mut(&job.site) else {
-                continue;
+        fan_out(jobs, &entries, workers, &|cx, job, entry| {
+            let Some((entry, current)) = entry.and_then(|e| Some((e, e.versions.last()?))) else {
+                return empty_log(&job.site);
             };
-            for revision in &log.revisions {
-                versions.push(VersionRecord {
-                    revision: revision.revision,
-                    day: revision.day,
-                    cause: revision.cause.clone(),
-                    bundle: revision.bundle.clone(),
+            let skip = match entry.last_day {
+                Some(last_day) => job
+                    .pages
+                    .iter()
+                    .position(|page| page.day > last_day)
+                    .unwrap_or(job.pages.len()),
+                None => 0,
+            };
+            maintainer.run_resumed(
+                cx,
+                &job.site,
+                current.bundle.clone(),
+                &job.pages[skip..],
+                // The stored LKG carries all evidence accumulated across
+                // committed epochs (rotation evidence, stability counts,
+                // anchor censuses), so it wins over a stale job seed.
+                entry.lkg.clone().or_else(|| job.seed_lkg.clone()),
+                job.inducer.as_ref().unwrap_or(&maintainer.inducer),
+                entry.state,
+                entry.target_gone_streak,
+            )
+        })
+    }
+
+    /// Folds one record into the live map: the only code that changes it.
+    fn apply(&mut self, record: LogRecord) {
+        let entry = self
+            .sites
+            .entry(record.site().to_string())
+            .or_insert_with(SiteEntry::new);
+        match record {
+            LogRecord::Revision {
+                day,
+                revision,
+                cause,
+                bundle,
+                ..
+            } => entry.versions.push(VersionRecord {
+                revision,
+                day,
+                cause,
+                bundle,
+            }),
+            LogRecord::Lkg { lkg, .. } => entry.lkg = Some(lkg),
+            LogRecord::State {
+                day,
+                state,
+                target_gone_streak,
+                ..
+            } => {
+                entry.state = state;
+                entry.target_gone_streak = target_gone_streak;
+                entry.last_day = Some(day);
+            }
+        }
+    }
+
+    /// The map a compaction under `policy` leaves: each site's retained
+    /// revision tail, last-known-good state and lifecycle position — the
+    /// records the compacted log keeps — folded back through `apply`.
+    fn retained(self, policy: &CompactionPolicy) -> Registry {
+        let mut kept = Registry::new();
+        for (site, mut entry) in self.sites {
+            let from = policy.keep_from(entry.versions.len());
+            for version in entry.versions.drain(from..) {
+                kept.apply(LogRecord::Revision {
+                    site: site.clone(),
+                    day: version.day,
+                    revision: version.revision,
+                    cause: version.cause,
+                    bundle: version.bundle,
+                });
+            }
+            if let Some(lkg) = entry.lkg {
+                kept.apply(LogRecord::Lkg {
+                    site: site.clone(),
+                    lkg,
+                });
+            }
+            if let Some(day) = entry.last_day {
+                kept.apply(LogRecord::State {
+                    site,
+                    day,
+                    state: entry.state,
+                    target_gone_streak: entry.target_gone_streak,
                 });
             }
         }
-        logs
+        kept
     }
 }
 
-/// The per-worker fan-out shared by the in-memory and persistent batch
-/// drivers: one reusable [`EvalContext`] per worker, chunked scoped threads
-/// above the adaptive thresholds, strictly sequential below them.  `run` is
-/// called once per `(job, seed)` pair; the logs come back in job order.
+/// The record an install commits: revision `bundle.revision` with cause
+/// `"installed"`.
+fn installed(site: String, bundle: WrapperBundle, day: i64) -> LogRecord {
+    LogRecord::Revision {
+        site,
+        day,
+        revision: bundle.revision,
+        cause: "installed".to_string(),
+        bundle,
+    }
+}
+
+/// What a batch commits, in job order: for every job that produced
+/// outcomes, each new revision, then its final last-known-good state (when
+/// it has one), then its lifecycle position.
+fn batch_records(jobs: &[MaintenanceJob], logs: &[MaintenanceLog]) -> Vec<LogRecord> {
+    let mut records = Vec::new();
+    for (job, log) in jobs.iter().zip(logs) {
+        let Some(last) = log.outcomes.last() else {
+            continue;
+        };
+        records.extend(log.revisions.iter().map(|revision| LogRecord::Revision {
+            site: job.site.clone(),
+            day: revision.day,
+            revision: revision.revision,
+            cause: revision.cause.clone(),
+            bundle: revision.bundle.clone(),
+        }));
+        if let Some(lkg) = &log.lkg {
+            records.push(LogRecord::Lkg {
+                site: job.site.clone(),
+                lkg: lkg.clone(),
+            });
+        }
+        records.push(LogRecord::State {
+            site: job.site.clone(),
+            day: last.day,
+            state: last.state,
+            target_gone_streak: log.target_gone_streak,
+        });
+    }
+    records
+}
+
+/// The per-worker fan-out behind [`Registry::maintain_batch`]: one
+/// reusable [`EvalContext`] per worker, chunked scoped threads above the
+/// adaptive thresholds, strictly sequential below them.  `run` is called
+/// once per `(job, seed)` pair; the logs come back in job order.
 fn fan_out<S: Sync>(
     jobs: &[MaintenanceJob],
     seeds: &[S],
@@ -283,26 +446,6 @@ fn empty_log(site: &str) -> MaintenanceLog {
         bundle: WrapperBundle::from_instances(&[], Default::default()),
         lkg: None,
         target_gone_streak: 0,
-    }
-}
-
-/// Runs one job (an uninstalled site yields an empty log).
-fn run_job(
-    cx: &mut EvalContext,
-    maintainer: &Maintainer,
-    job: &MaintenanceJob,
-    bundle: Option<&WrapperBundle>,
-) -> MaintenanceLog {
-    match bundle {
-        Some(bundle) => maintainer.run_with_inducer(
-            cx,
-            &job.site,
-            bundle.clone(),
-            &job.pages,
-            job.seed_lkg.clone(),
-            job.inducer.as_ref().unwrap_or(&maintainer.inducer),
-        ),
-        None => empty_log(&job.site),
     }
 }
 
@@ -406,8 +549,9 @@ impl RecoveryReport {
     }
 }
 
-/// The durable, sharded registry: [`Registry`] semantics over append-only
-/// version logs (see the module docs for the layout and guarantees).
+/// The durable, sharded registry: a [`Registry`] plus its append-only
+/// shard logs.  Every record is logged before the live map applies it
+/// (see the module docs for the layout and guarantees).
 ///
 /// ```no_run
 /// use wi_maintain::{PersistentRegistry, CompactionPolicy};
@@ -429,7 +573,8 @@ impl RecoveryReport {
 pub struct PersistentRegistry {
     root: PathBuf,
     shards: usize,
-    sites: BTreeMap<String, SiteEntry>,
+    /// The live map: the fold of every record in the shard logs.
+    live: Registry,
     report: RecoveryReport,
     /// Set when an append failed partway (bytes of unknown extent may have
     /// reached a log the live map never advanced past).  Every further
@@ -502,7 +647,7 @@ impl PersistentRegistry {
         Ok(PersistentRegistry {
             root,
             shards,
-            sites: BTreeMap::new(),
+            live: Registry::new(),
             report: RecoveryReport {
                 shards,
                 ..RecoveryReport::default()
@@ -552,7 +697,7 @@ impl PersistentRegistry {
         for index in 0..shards {
             locks.push(lock::ShardLock::acquire(shard::lock_path(&root, index))?);
         }
-        let mut sites: BTreeMap<String, SiteEntry> = BTreeMap::new();
+        let mut live = Registry::new();
         let mut report = RecoveryReport {
             shards,
             ..RecoveryReport::default()
@@ -577,13 +722,13 @@ impl PersistentRegistry {
                 });
             }
             for record in recovered.records {
-                apply_record(&mut sites, record);
+                live.apply(record);
             }
         }
         Ok(PersistentRegistry {
             root,
             shards,
-            sites,
+            live,
             report,
             poisoned: false,
             durability: Durability::Always,
@@ -650,23 +795,13 @@ impl PersistentRegistry {
         day: i64,
     ) -> Result<(), RegistryError> {
         let site = site.into();
-        if self.sites.contains_key(&site) {
+        if self.live.sites.contains_key(&site) {
             return Err(RegistryError::Conflict {
                 site,
                 message: "already installed (commit a revision instead)".into(),
             });
         }
-        let record = LogRecord::Revision {
-            site: site.clone(),
-            day,
-            revision: bundle.revision,
-            cause: "installed".to_string(),
-            bundle,
-        };
-        let line = encode_record(&record, &self.objects)?;
-        self.append_guarded(shard_of(&site, self.shards), &line)?;
-        apply_record(&mut self.sites, record);
-        Ok(())
+        self.commit(vec![installed(site, bundle, day)])
     }
 
     /// Commits a new revision for an installed site (e.g. a repair produced
@@ -679,7 +814,7 @@ impl PersistentRegistry {
         bundle: WrapperBundle,
         day: i64,
     ) -> Result<(), RegistryError> {
-        let Some(entry) = self.sites.get(site) else {
+        let Some(entry) = self.live.sites.get(site) else {
             return Err(RegistryError::Conflict {
                 site: site.to_string(),
                 message: "not installed".into(),
@@ -705,46 +840,37 @@ impl PersistentRegistry {
                 .unwrap_or_else(|| "committed".to_string()),
             bundle,
         };
-        let line = encode_record(&record, &self.objects)?;
-        self.append_guarded(shard_of(site, self.shards), &line)?;
-        apply_record(&mut self.sites, record);
-        Ok(())
+        self.commit(vec![record])
     }
 
     /// The bundle currently in force for a site.
     pub fn current(&self, site: &str) -> Option<&WrapperBundle> {
-        self.sites
-            .get(site)
-            .and_then(|entry| entry.versions.last())
-            .map(|record| &record.bundle)
+        self.live.current(site)
     }
 
     /// The full retained version history of a site, oldest first.
     pub fn history(&self, site: &str) -> &[VersionRecord] {
-        self.sites
-            .get(site)
-            .map(|entry| entry.versions.as_slice())
-            .unwrap_or(&[])
+        self.live.history(site)
     }
 
     /// The registered site keys, sorted.
     pub fn sites(&self) -> impl Iterator<Item = &str> {
-        self.sites.keys().map(String::as_str)
+        self.live.sites()
     }
 
     /// Number of registered sites.
     pub fn site_count(&self) -> usize {
-        self.sites.len()
+        self.live.site_count()
     }
 
     /// The persisted lifecycle state of a site.
     pub fn state(&self, site: &str) -> Option<WrapperState> {
-        self.sites.get(site).map(|entry| entry.state)
+        self.live.state(site)
     }
 
     /// The persisted last-known-good verification state of a site.
     pub fn lkg(&self, site: &str) -> Option<&LastKnownGood> {
-        self.sites.get(site).and_then(|entry| entry.lkg.as_ref())
+        self.live.lkg(site)
     }
 
     /// Whether a failed append has poisoned this instance (see
@@ -795,7 +921,7 @@ impl PersistentRegistry {
                 segments: 0,
             })
             .collect();
-        for (site, entry) in &self.sites {
+        for (site, entry) in &self.live.sites {
             let stat = &mut stats[shard_of(site, self.shards)];
             stat.sites += 1;
             stat.revisions += entry.versions.len();
@@ -872,22 +998,15 @@ impl PersistentRegistry {
         }
     }
 
-    /// [`Registry::maintain_batch`] over the persisted histories: identical
-    /// fan-out, identical logs — plus every committed revision, final
-    /// last-known-good state and lifecycle position is appended (and
-    /// fsynced) to the site's shard log before the live map advances, so a
-    /// crash after this returns loses nothing and a restart resumes each
-    /// timeline exactly where it stopped.  The persisted last-known-good
-    /// state takes precedence over a job's `seed_lkg` — the persisted one
-    /// carries all evidence accumulated across committed epochs; the job's
-    /// seed only bootstraps a never-maintained site.
-    ///
-    /// Re-submission is **idempotent per day**: pages at or before a site's
-    /// persisted last-maintained day are skipped (their outcomes are simply
-    /// absent from the returned log), so a service that crashes mid-batch
-    /// and replays the whole batch cannot double-apply a timeline — the
-    /// already-committed sites fast-forward to the genuinely new snapshots.
-    /// Pages must be oldest-first, as [`MaintenanceJob::pages`] requires.
+    /// [`Registry::maintain_batch`] over the persisted registry: the same
+    /// run and the same records, resumed from the same stored position —
+    /// plus every committed revision, final last-known-good state and
+    /// lifecycle position is appended (and fsynced) to the site's shard log
+    /// before the live map applies it, so a crash after this returns loses
+    /// nothing and a restart resumes each timeline exactly where it
+    /// stopped.  A service that crashes mid-batch and replays the whole
+    /// batch cannot double-apply a timeline: already-committed days are
+    /// skipped, as in the in-memory registry.
     pub fn maintain_batch(
         &mut self,
         jobs: &[MaintenanceJob],
@@ -914,140 +1033,35 @@ impl PersistentRegistry {
         maintainer: &Maintainer,
         workers: usize,
     ) -> Result<Vec<MaintenanceLog>, RegistryError> {
-        if self.poisoned {
-            return Err(RegistryError::Poisoned);
-        }
-        // Seed every job from the persisted position: current bundle, the
-        // job's explicit last-known-good (or the stored one), lifecycle
-        // state, retirement streak, and the index of the first page *after*
-        // the persisted last-maintained day (idempotent re-submission).
-        // Duplicates and uninstalled sites get no seed and therefore an
-        // empty log.
-        struct Seed {
-            bundle: WrapperBundle,
-            lkg: Option<LastKnownGood>,
-            state: WrapperState,
-            streak: u32,
-            skip_pages: usize,
-        }
-        let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
-        let seeds: Vec<Option<Seed>> = jobs
-            .iter()
-            .map(|job| {
-                if !seen.insert(&job.site) {
-                    return None;
-                }
-                self.sites.get(&job.site).map(|entry| Seed {
-                    bundle: entry
-                        .versions
-                        .last()
-                        .expect("installed site")
-                        .bundle
-                        .clone(),
-                    // The persisted LKG is strictly an advancement of any
-                    // seed the job carries (rotation evidence, stability
-                    // counts, anchor censuses accumulated across committed
-                    // epochs), so it wins; the job's seed only bootstraps a
-                    // never-maintained site.  A stale job seed overriding it
-                    // would silently reset that evidence on replay.
-                    lkg: entry.lkg.clone().or_else(|| job.seed_lkg.clone()),
-                    state: entry.state,
-                    streak: entry.target_gone_streak,
-                    skip_pages: match entry.last_day {
-                        Some(last_day) => job
-                            .pages
-                            .iter()
-                            .position(|page| page.day > last_day)
-                            .unwrap_or(job.pages.len()),
-                        None => 0,
-                    },
-                })
-            })
-            .collect();
-
-        let logs = fan_out(
-            jobs,
-            &seeds,
-            workers,
-            &|cx, job, seed: &Option<Seed>| match seed {
-                Some(seed) => maintainer.run_resumed(
-                    cx,
-                    &job.site,
-                    seed.bundle.clone(),
-                    &job.pages[seed.skip_pages..],
-                    seed.lkg.clone(),
-                    job.inducer.as_ref().unwrap_or(&maintainer.inducer),
-                    seed.state,
-                    seed.streak,
-                ),
-                None => empty_log(&job.site),
-            },
-        );
-
-        // Persist first, then advance the live map: per shard, one append
-        // holding every new revision plus the final last-known-good and
-        // lifecycle records of each job that ran.
-        let mut appends: BTreeMap<usize, String> = BTreeMap::new();
-        for ((job, seed), log) in jobs.iter().zip(&seeds).zip(&logs) {
-            if seed.is_none() || log.outcomes.is_empty() {
-                continue;
-            }
-            let mut encoded = String::new();
-            for revision in &log.revisions {
-                // Store the bundle body first: objects are idempotent, so a
-                // crash between here and the append leaves at worst an
-                // unreferenced object for the next compaction to collect.
-                let bundle_digest = self.objects.store(&revision.bundle)?;
-                encoded.push_str(&log::encode_record_ref(log::RecordRef::Revision {
-                    site: &job.site,
-                    day: revision.day,
-                    revision: revision.revision,
-                    cause: &revision.cause,
-                    bundle_digest,
-                }));
-            }
-            let lines = appends.entry(shard_of(&job.site, self.shards)).or_default();
-            lines.push_str(&encoded);
-            if let Some(lkg) = &log.lkg {
-                lines.push_str(&log::encode_record_ref(log::RecordRef::Lkg {
-                    site: &job.site,
-                    lkg,
-                }));
-            }
-            let last_state = log.outcomes.last().expect("non-empty outcomes");
-            lines.push_str(&log::encode_record_ref(log::RecordRef::State {
-                site: &job.site,
-                day: last_state.day,
-                state: last_state.state,
-                target_gone_streak: log.target_gone_streak,
-            }));
-        }
-        for (index, lines) in &appends {
-            self.append_guarded(*index, lines)?;
-        }
-
-        for ((job, seed), log) in jobs.iter().zip(&seeds).zip(&logs) {
-            if seed.is_none() || log.outcomes.is_empty() {
-                continue;
-            }
-            let entry = self.sites.get_mut(&job.site).expect("seeded site exists");
-            for revision in &log.revisions {
-                entry.versions.push(VersionRecord {
-                    revision: revision.revision,
-                    day: revision.day,
-                    cause: revision.cause.clone(),
-                    bundle: revision.bundle.clone(),
-                });
-            }
-            if let Some(lkg) = &log.lkg {
-                entry.lkg = Some(lkg.clone());
-            }
-            let last_state = log.outcomes.last().expect("non-empty outcomes");
-            entry.state = last_state.state;
-            entry.target_gone_streak = log.target_gone_streak;
-            entry.last_day = Some(last_state.day);
-        }
+        self.check_poisoned()?;
+        let logs = self.live.run_batch(jobs, maintainer, workers);
+        self.commit(batch_records(jobs, &logs))?;
         Ok(logs)
+    }
+
+    /// The one commit path: logs `records`, then applies them to the live
+    /// map.  Each record's bundle object is stored first (objects are
+    /// idempotent, so a crash before the append leaves at worst an
+    /// unreferenced object for the next compaction to collect); each shard
+    /// then gets one append holding its records in order, and only once
+    /// every append has landed does the live map advance.
+    fn commit(&mut self, records: Vec<LogRecord>) -> Result<(), RegistryError> {
+        self.check_poisoned()?;
+        let mut appends: BTreeMap<usize, String> = BTreeMap::new();
+        for record in &records {
+            let line = encode_record(record, &self.objects)?;
+            appends
+                .entry(shard_of(record.site(), self.shards))
+                .or_default()
+                .push_str(&line);
+        }
+        for (shard, lines) in &appends {
+            self.append_guarded(*shard, lines)?;
+        }
+        for record in records {
+            self.live.apply(record);
+        }
+        Ok(())
     }
 
     /// Rewrites the dirty segments of every shard down to the retained
@@ -1060,17 +1074,18 @@ impl PersistentRegistry {
             // would discard the records the failed append already landed.
             return Err(RegistryError::Poisoned);
         }
-        let stats =
-            compact::compact_registry(&self.root, self.shards, &self.sites, policy, &self.objects)?;
+        let stats = compact::compact_registry(
+            &self.root,
+            self.shards,
+            &self.live.sites,
+            policy,
+            &self.objects,
+        )?;
         // Only once every shard rewrite has landed: trim the live histories
         // to what the rewrite kept, so the live map and a post-compaction
         // recovery agree record for record.  (Trimming first would leave
         // the live map under-reporting history if a rewrite failed midway.)
-        for entry in self.sites.values_mut() {
-            entry
-                .versions
-                .drain(..policy.keep_from(entry.versions.len()));
-        }
+        self.live = std::mem::take(&mut self.live).retained(policy);
         // The rewrite may have shrunk (or emptied) the active segment:
         // refresh the append cursor from disk so the rotation threshold
         // keeps measuring real bytes.
@@ -1079,44 +1094,6 @@ impl PersistentRegistry {
             self.active[shard].bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         }
         Ok(stats)
-    }
-}
-
-/// Folds one replayed (or freshly appended) record into the live map.
-fn apply_record(sites: &mut BTreeMap<String, SiteEntry>, record: LogRecord) {
-    match record {
-        LogRecord::Revision {
-            site,
-            day,
-            revision,
-            cause,
-            bundle,
-        } => {
-            sites
-                .entry(site)
-                .or_insert_with(SiteEntry::new)
-                .versions
-                .push(VersionRecord {
-                    revision,
-                    day,
-                    cause,
-                    bundle,
-                });
-        }
-        LogRecord::Lkg { site, lkg } => {
-            sites.entry(site).or_insert_with(SiteEntry::new).lkg = Some(lkg);
-        }
-        LogRecord::State {
-            site,
-            day,
-            state,
-            target_gone_streak,
-        } => {
-            let entry = sites.entry(site).or_insert_with(SiteEntry::new);
-            entry.state = state;
-            entry.target_gone_streak = target_gone_streak;
-            entry.last_day = Some(day);
-        }
     }
 }
 

@@ -11,9 +11,9 @@
 use wi_induction::{WrapperBundle, WrapperInducer};
 use wi_maintain::registry::log::decode_line;
 use wi_maintain::{
-    CompactionPolicy, Durability, LastKnownGood, LogRecord, Maintainer, MaintenanceJob,
-    MaintenanceLog, ObjectStore, PageVersion, PersistentRegistry, Registry, RegistryError,
-    WrapperState,
+    CompactionPolicy, Durability, EpochOutcome, LastKnownGood, LogRecord, Maintainer,
+    MaintenanceJob, MaintenanceLog, ObjectStore, PageVersion, PersistentRegistry, Registry,
+    RegistryError, WrapperState,
 };
 use wi_scoring::ScoringParams;
 use wi_webgen::archive::ArchiveSimulator;
@@ -312,12 +312,10 @@ fn bit_flips_in_the_log_tail_never_panic_and_keep_the_valid_prefix() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// Field-by-field identity of two maintenance logs, bundles compared by
-/// their serialized bytes.
-fn assert_logs_identical(a: &MaintenanceLog, b: &MaintenanceLog, what: &str) {
-    assert_eq!(a.label, b.label, "{what}: label");
-    assert_eq!(a.outcomes.len(), b.outcomes.len(), "{what}: epochs");
-    for (i, (x, y)) in a.outcomes.iter().zip(&b.outcomes).enumerate() {
+/// Field-by-field identity of two outcome sequences.
+fn assert_outcomes_identical(a: &[EpochOutcome], b: &[EpochOutcome], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: epochs");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert_eq!(x.day, y.day, "{what}: day @{i}");
         assert_eq!(x.flagged, y.flagged, "{what}: flagged @{i}");
         assert_eq!(x.page_broken, y.page_broken, "{what}: page_broken @{i}");
@@ -331,6 +329,13 @@ fn assert_logs_identical(a: &MaintenanceLog, b: &MaintenanceLog, what: &str) {
         assert_eq!(x.state, y.state, "{what}: state @{i}");
         assert_eq!(x.extracted, y.extracted, "{what}: extracted @{i}");
     }
+}
+
+/// Field-by-field identity of two maintenance logs, bundles compared by
+/// their serialized bytes.
+fn assert_logs_identical(a: &MaintenanceLog, b: &MaintenanceLog, what: &str) {
+    assert_eq!(a.label, b.label, "{what}: label");
+    assert_outcomes_identical(&a.outcomes, &b.outcomes, what);
     assert_eq!(a.revisions.len(), b.revisions.len(), "{what}: revisions");
     for (x, y) in a.revisions.iter().zip(&b.revisions) {
         assert_eq!(x.day, y.day, "{what}: revision day");
@@ -545,6 +550,94 @@ fn restart_mid_timeline_is_byte_identical_to_an_uninterrupted_run() {
     }
 
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// The same jobs restricted to the snapshots in `range`, each still carrying
+/// its induction-day seed LKG (what a replaying service re-submits).
+fn slice_jobs(
+    prepared: &[(MaintenanceJob, WrapperBundle)],
+    range: std::ops::Range<usize>,
+) -> Vec<MaintenanceJob> {
+    prepared
+        .iter()
+        .map(|(job, _)| MaintenanceJob {
+            site: job.site.clone(),
+            pages: job.pages[range.clone()].to_vec(),
+            seed_lkg: job.seed_lkg.clone(),
+            inducer: None,
+        })
+        .collect()
+}
+
+/// Both registries share one commit path: a timeline cut into two batches
+/// at every cut resumes identically in memory and on disk, replays the
+/// uninterrupted run's second half, and a re-submitted batch is skipped.
+#[test]
+fn in_memory_registry_resumes_across_batches_like_the_persistent_one() {
+    let prepared = webgen_jobs(10, 120);
+    let maintainer = Maintainer::default();
+    let epochs = 10;
+
+    let mut uninterrupted = Registry::new();
+    for (job, bundle) in &prepared {
+        uninterrupted.install(&job.site, bundle.clone(), 0);
+    }
+    let full_logs =
+        uninterrupted.maintain_batch_sequential(&slice_jobs(&prepared, 0..epochs), &maintainer);
+
+    for cut in 1..epochs {
+        let root = temp_root("split");
+        let mut in_memory = Registry::new();
+        let mut persistent = PersistentRegistry::create(&root, 4).unwrap();
+        for (job, bundle) in &prepared {
+            in_memory.install(&job.site, bundle.clone(), 0);
+            persistent.install(&job.site, bundle.clone(), 0).unwrap();
+        }
+        let first = slice_jobs(&prepared, 0..cut);
+        let second = slice_jobs(&prepared, cut..epochs);
+        in_memory.maintain_batch_sequential(&first, &maintainer);
+        persistent
+            .maintain_batch_sequential(&first, &maintainer)
+            .unwrap();
+        let memory_logs = in_memory.maintain_batch_sequential(&second, &maintainer);
+        let persisted_logs = persistent
+            .maintain_batch_sequential(&second, &maintainer)
+            .unwrap();
+
+        for ((memory, persisted), full) in memory_logs.iter().zip(&persisted_logs).zip(&full_logs) {
+            let what = format!("{} cut at {cut}", full.label);
+            assert_logs_identical(memory, persisted, &what);
+            assert_outcomes_identical(&memory.outcomes, &full.outcomes[cut..], &what);
+        }
+        for (job, _) in &prepared {
+            let memory = in_memory.history(&job.site);
+            for other in [
+                persistent.history(&job.site),
+                uninterrupted.history(&job.site),
+            ] {
+                assert_eq!(memory.len(), other.len(), "{} cut at {cut}", job.site);
+                for (x, y) in memory.iter().zip(other) {
+                    assert_eq!(x.revision, y.revision);
+                    assert_eq!(x.day, y.day);
+                    assert_eq!(x.cause, y.cause);
+                    assert_eq!(x.bundle.to_json_string(), y.bundle.to_json_string());
+                }
+            }
+        }
+
+        // Re-submitting the second batch finds every day already maintained.
+        let again = in_memory.maintain_batch_sequential(&second, &maintainer);
+        for log in &again {
+            assert!(
+                log.outcomes.is_empty(),
+                "{} cut at {cut}: re-submitted days ran again",
+                log.label
+            );
+        }
+
+        drop(persistent);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 }
 
 #[test]

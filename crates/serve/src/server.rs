@@ -30,11 +30,11 @@
 //! loses a committed revision.
 
 use std::io::{Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wi_maintain::{Maintainer, PersistentRegistry};
 use wi_xpath::EvalContext;
@@ -290,7 +290,9 @@ fn handle_connection(state: &ServeState, cx: &mut EvalContext, mut stream: TcpSt
                 let mut response =
                     Response::json(e.status, format!("{{\"error\":{:?}}}", e.message));
                 response.close = true;
-                let _ = write_response(&mut stream, &response);
+                if write_response(&mut stream, &response).is_ok() {
+                    linger_close(&mut stream, &mut chunk);
+                }
                 return;
             }
         }
@@ -314,6 +316,26 @@ fn handle_connection(state: &ServeState, cx: &mut EvalContext, mut stream: TcpSt
                 }
             }
             Err(_) => return,
+        }
+    }
+}
+
+/// Closes a connection whose request was rejected before its body was
+/// read.  Dropping the socket with unread bytes queued makes the kernel
+/// answer with RST, which can destroy the reply before the client reads
+/// it; so half-close instead, then discard whatever the client still sends
+/// until it closes its side, an error, or `READ_TIMEOUT` after the reply.
+fn linger_close(stream: &mut TcpStream, chunk: &mut [u8]) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + READ_TIMEOUT;
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(chunk) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
         }
     }
 }

@@ -2,6 +2,7 @@
 //! stream → maintain → site info → metrics → graceful shutdown, plus the
 //! typed error paths, all over real TCP against a scratch registry.
 
+use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -318,6 +319,49 @@ fn daemon_rejects_oversized_and_malformed_requests() {
     let registry = handle.wait();
     assert!(!registry.is_poisoned());
     drop(registry);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn rejected_request_reply_survives_the_unread_body() {
+    let root = scratch_dir("linger");
+    let registry = PersistentRegistry::create(&root, 1).expect("create registry");
+    let config = ServeConfig {
+        limits: Limits {
+            max_head_bytes: 2 * 1024,
+            max_body_bytes: 1024,
+        },
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(registry, Maintainer::default(), config).expect("start daemon");
+
+    // Head and an over-cap body in one write: the daemon rejects the head
+    // and never reads the body, which is still queued when it closes.
+    let body = vec![b'x'; 16 * 1024];
+    let mut request = format!(
+        "POST /extract/some-site HTTP/1.1\r\nHost: test\r\nContent-Type: text/html\r\n\
+         Content-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    request.extend_from_slice(&body);
+    let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    stream.write_all(&request).expect("send request");
+    let mut reply = Vec::new();
+    stream
+        .read_to_end(&mut reply)
+        .expect("the reply reads to a clean EOF, not a reset");
+    assert!(
+        reply.starts_with(b"HTTP/1.1 413"),
+        "reply: {:?}",
+        String::from_utf8_lossy(&reply)
+    );
+
+    handle.shutdown();
+    drop(handle.wait());
     let _ = std::fs::remove_dir_all(&root);
 }
 
