@@ -1,14 +1,14 @@
 //! Overhead of the `wi-obs` tracing layer, measured against the same
 //! maintenance workload as the `maintain` bench.
 //!
-//! The headline numbers — ns per disabled/enabled trace call, journal
-//! emit+drain throughput, and the maintain workload wall clock with
-//! tracing off vs. on — are also measured with a plain wall-clock loop
-//! and recorded in `BENCH_obs.json` at the workspace root.  The disabled
-//! path is the contract that matters: every entry point must stay a
-//! single relaxed atomic load, and the smoke test
-//! `crates/bench/tests/obs_smoke.rs` gates its estimated share of the
-//! workload at < 2% in CI.
+//! The headline numbers — ns per disabled/enabled trace call (one thread,
+//! and two threads emitting at once), journal emit+read throughput, and
+//! the maintain workload wall clock with tracing off vs. on — are also
+//! measured with a plain wall-clock loop and recorded in `BENCH_obs.json`
+//! at the workspace root.  The disabled path is the contract that
+//! matters: every entry point must stay a single relaxed atomic load, and
+//! the smoke test `crates/bench/tests/obs_smoke.rs` gates its estimated
+//! share of the workload at < 2% in CI.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Instant;
@@ -75,7 +75,7 @@ fn bench_trace_calls(c: &mut Criterion) {
 
     set_mode(Mode::On);
     c.bench_function("record_span_enabled", |b| {
-        b.iter(|| record_span(black_box("bench.obs.on"), black_box(started), &[("k", 1)]))
+        b.iter(|| record_span(black_box("bench.obs.on"), Instant::now(), &[("k", 1)]))
     });
     set_mode(Mode::Off);
 }
@@ -114,17 +114,43 @@ fn record_numbers() {
     }
     let disabled_ns = t.elapsed().as_nanos() as f64 / calls as f64;
 
-    // Per-call cost with tracing on (timestamp + ring push; the journal
-    // evicts oldest once full, so this is steady-state emission).
+    // Per-call cost with tracing on: timestamp, record build and journal
+    // push.  The journal is full after the first 4096 calls, so this is
+    // steady-state emission: every push also evicts the oldest record.
+    // Each span starts just before its call, as a real one does; spans
+    // measured from `started` would all cross the slow-log threshold after
+    // the first millisecond and time the slow log instead.
     set_mode(Mode::On);
     let calls_on = 2_000_000u64;
+    let pushed_before = journal_stats().pushed;
     let t = Instant::now();
     for _ in 0..calls_on {
-        record_span(black_box("bench.obs.on"), black_box(started), &[("k", 1)]);
+        record_span(black_box("bench.obs.on"), Instant::now(), &[("k", 1)]);
     }
     let enabled_ns = t.elapsed().as_nanos() as f64 / calls_on as f64;
+    assert_eq!(
+        journal_stats().pushed - pushed_before,
+        calls_on,
+        "every enabled call stores a record"
+    );
 
-    // Journal throughput: emit below ring capacity, drain, repeat.
+    // The same loop on two threads at once (they share the journal lock):
+    // wall clock per call as each thread sees it.
+    let calls_each = 1_000_000u64;
+    let t = Instant::now();
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                for _ in 0..calls_each {
+                    record_span(black_box("bench.obs.on2"), Instant::now(), &[("k", 1)]);
+                }
+            });
+        }
+    });
+    let enabled_2threads_ns = t.elapsed().as_nanos() as f64 / calls_each as f64;
+
+    // Journal throughput: emit 1,000 records, read the whole journal,
+    // repeat.
     let rounds = 400u64;
     let per_round = 1_000u64;
     let t = Instant::now();
@@ -160,8 +186,9 @@ fn record_numbers() {
 
     println!(
         "obs overhead: disabled {disabled_ns:.2} ns/call, enabled {enabled_ns:.0} ns/call, \
-         journal {journal_per_s:.0} records/s (ring_dropped {}, overwritten {})",
-        stats.ring_dropped, stats.overwritten
+         enabled on 2 threads {enabled_2threads_ns:.0} ns/call, \
+         journal {journal_per_s:.0} records/s (pushed {}, overwritten {})",
+        stats.pushed, stats.overwritten
     );
     println!(
         "maintain {pages} pages: trace off {:.3} ms, trace on {:.3} ms ({:+.2}% enabled overhead)",

@@ -8,7 +8,7 @@
 //! the workload actually emits (tracing on), measure the per-call cost of
 //! the disabled path in isolation, and bound their product against the
 //! workload wall clock.  The same run proves the instrumentation is live
-//! (records > 0) and lossless at this scale (no ring drops).
+//! (records > 0) and lossless at this scale (no journal evictions).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -81,8 +81,8 @@ fn disabled_tracing_costs_under_two_percent_of_the_maintain_workload() {
     wi_obs::set_mode(wi_obs::Mode::Off);
     assert!(traced > 0, "the maintenance lifecycle emits spans");
     assert_eq!(
-        stats.ring_dropped, 0,
-        "a {pages}-page sequential workload stays under the ring capacity"
+        stats.overwritten, 0,
+        "a {pages}-page sequential workload stays under the journal capacity"
     );
 
     // The workload wall clock with tracing off, best of 3.

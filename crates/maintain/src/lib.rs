@@ -138,7 +138,7 @@ pub use registry::{
     ObjectStore, PersistentRegistry, RecoveryReport, Registry, RegistryError, ReplicationStats,
     ShardStats, SnapshotStats, TornTail, VersionRecord,
 };
-pub use repair::{RepairAction, RepairConfig, Repairer};
+pub use repair::{RepairAction, Repairer};
 pub use verify::{HealthReport, HealthSignal, LastKnownGood, Verifier, VerifyConfig};
 pub use wi_induction::{WrapperBundle, WrapperInducer};
 

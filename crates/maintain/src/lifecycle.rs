@@ -21,7 +21,7 @@
 
 use crate::drift::{DriftClass, DriftClassifier, DriftConfig, DriftReport};
 use crate::incremental::IncrementalState;
-use crate::repair::{RepairAction, RepairConfig, Repairer};
+use crate::repair::{RepairAction, Repairer};
 use crate::verify::{HealthReport, LastKnownGood, Verifier, VerifyConfig};
 use crate::PageVersion;
 use serde::{Deserialize, Serialize};
@@ -125,8 +125,6 @@ pub struct MaintainConfig {
     pub verify: VerifyConfig,
     /// Classification bounds.
     pub drift: DriftConfig,
-    /// Repair policies.
-    pub repair: RepairConfig,
     /// Consecutive failed repairs with drift class
     /// [`DriftClass::TargetRemoved`] before the wrapper retires.
     pub retire_after: usize,
@@ -146,7 +144,6 @@ impl Default for MaintainConfig {
         MaintainConfig {
             verify: VerifyConfig::default(),
             drift: DriftConfig::default(),
-            repair: RepairConfig::default(),
             retire_after: 2,
             incremental: true,
         }
@@ -219,7 +216,7 @@ impl Maintainer {
     ) -> MaintenanceLog {
         let verifier = Verifier::new(self.config.verify.clone());
         let classifier = DriftClassifier::new(self.config.drift.clone());
-        let repairer = Repairer::new(self.config.repair.clone(), verifier.clone());
+        let repairer = Repairer::new(verifier.clone());
 
         let run_started = Instant::now();
         let mut inc = self.config.incremental.then(IncrementalState::new);

@@ -29,7 +29,9 @@
 //!   the evidence the previous process had accumulated.
 //! * `state` — the lifecycle position after a maintenance run: the
 //!   [`WrapperState`] plus the consecutive-`TargetRemoved` failure streak
-//!   that drives retirement.
+//!   that drives retirement.  A revision committed outside a maintenance
+//!   run is followed by a `state` record resetting a site that is not
+//!   already `monitoring` with streak 0 to that position.
 //!
 //! Revisions of one site must be strictly increasing along the log; a
 //! record that violates this is treated as corruption (the valid prefix

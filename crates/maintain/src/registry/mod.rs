@@ -17,7 +17,12 @@
 //!   map applies it, and [`recover`](PersistentRegistry::recover) folds the
 //!   logged records back through the same `apply` (tolerating a torn final
 //!   record), so a restarted service resumes a timeline byte-identically to
-//!   a process that never stopped.  Site histories are partitioned into N
+//!   a process that never stopped.  A revision committed outside a batch
+//!   ([`commit_revision`](PersistentRegistry::commit_revision), and so
+//!   `POST /induce` on an installed site) starts the new wrapper afresh:
+//!   a site that is not `Monitoring` with streak 0 gets one extra
+//!   on-disk `state` record after the revision; logs of sites already in
+//!   that position are unchanged.  Site histories are partitioned into N
 //!   shards by FxHash of the site key, each shard backed by numbered,
 //!   size-bounded, checksummed JSON-lines **segments** plus a manifest,
 //!   with wrapper bundles deduplicated into a content-addressed object
@@ -808,6 +813,13 @@ impl PersistentRegistry {
     /// outside [`maintain_batch`](PersistentRegistry::maintain_batch)).  The
     /// bundle's revision must be strictly greater than the current one; the
     /// bundle's provenance note becomes the recorded cause.
+    ///
+    /// A new wrapper starts its lifecycle afresh: when the site is not
+    /// [`Monitoring`](WrapperState::Monitoring) with a zero retirement
+    /// streak, a lifecycle record resetting it to that position (at the
+    /// site's last maintained day, so no day is re-run or skipped) is
+    /// committed after the revision.  A retired site so repairs its new
+    /// wrapper again, and a degraded one does not carry its streak over.
     pub fn commit_revision(
         &mut self,
         site: &str,
@@ -830,7 +842,17 @@ impl PersistentRegistry {
                 ),
             });
         }
-        let record = LogRecord::Revision {
+        let moved = entry.state != WrapperState::Monitoring || entry.target_gone_streak != 0;
+        let reset = entry
+            .last_day
+            .filter(|_| moved)
+            .map(|day| LogRecord::State {
+                site: site.to_string(),
+                day,
+                state: WrapperState::Monitoring,
+                target_gone_streak: 0,
+            });
+        let revision = LogRecord::Revision {
             site: site.to_string(),
             day,
             revision: bundle.revision,
@@ -840,7 +862,7 @@ impl PersistentRegistry {
                 .unwrap_or_else(|| "committed".to_string()),
             bundle,
         };
-        self.commit(vec![record])
+        self.commit(std::iter::once(revision).chain(reset).collect())
     }
 
     /// The bundle currently in force for a site.

@@ -54,39 +54,18 @@ pub struct RepairOutcome {
     pub extracted: Vec<NodeId>,
 }
 
-/// Which repair policies are enabled.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RepairConfig {
-    /// Substitute re-validated anchors in place.
-    pub reanchor: bool,
-    /// Re-induce from harvested last-known-good values when re-anchoring is
-    /// not possible.
-    pub reinduce: bool,
-}
-
-impl Default for RepairConfig {
-    fn default() -> Self {
-        RepairConfig {
-            reanchor: true,
-            reinduce: true,
-        }
-    }
-}
-
-/// Applies repair policies to flagged bundles.
+/// Repairs flagged bundles: re-anchoring first, then re-induction.
 #[derive(Debug, Clone, Default)]
 pub struct Repairer {
-    /// Enabled policies.
-    pub config: RepairConfig,
     /// Validates candidate repairs against the breaking snapshot.
     pub verifier: Verifier,
 }
 
 impl Repairer {
-    /// Creates a repairer with explicit policies (validation uses the given
-    /// verifier's thresholds).
-    pub fn new(config: RepairConfig, verifier: Verifier) -> Repairer {
-        Repairer { config, verifier }
+    /// Creates a repairer whose validation uses the given verifier's
+    /// thresholds.
+    pub fn new(verifier: Verifier) -> Repairer {
+        Repairer { verifier }
     }
 
     /// Attempts to repair `bundle` against the snapshot that exposed the
@@ -124,17 +103,8 @@ impl Repairer {
         drift: &DriftReport,
         inducer: &WrapperInducer,
     ) -> Option<RepairOutcome> {
-        if self.config.reanchor {
-            if let Some(outcome) = self.try_reanchor(cx, bundle, doc, day, lkg, drift) {
-                return Some(outcome);
-            }
-        }
-        if self.config.reinduce {
-            if let Some(outcome) = self.try_reinduce(cx, bundle, doc, day, lkg, inducer) {
-                return Some(outcome);
-            }
-        }
-        None
+        self.try_reanchor(cx, bundle, doc, day, lkg, drift)
+            .or_else(|| self.try_reinduce(cx, bundle, doc, day, lkg, inducer))
     }
 
     /// Installs the classifier's validated substitutions: every entry with a
@@ -383,43 +353,5 @@ mod tests {
         )
         .unwrap();
         assert!(break_and_repair(&v1, &targets, &v2).is_none());
-    }
-
-    #[test]
-    fn disabled_policies_do_nothing() {
-        let v1 = Document::parse(
-            r#"<body><div id="nav"><ul><li>a</li><li>b</li><li>c</li></ul></div>
-               <div id="c"><span class="price">10</span><span class="price">20</span>
-               <span class="price">30</span></div></body>"#,
-        )
-        .unwrap();
-        let targets = v1.elements_by_class("price");
-        let bundle = induce(&v1, &targets);
-        let lkg = LastKnownGood::capture(&v1, 0, &targets);
-        let v2 = Document::parse(
-            r#"<body><div id="nav"><ul><li>a</li><li>b</li><li>c</li></ul></div>
-               <div id="c"><span class="cost">10</span><span class="cost">20</span>
-               <span class="cost">30</span></div></body>"#,
-        )
-        .unwrap();
-        let health = Verifier::default().check(&bundle, &v2, 20, Some(&lkg));
-        let drift = DriftClassifier::default().classify(&bundle, &v2, 20, Some(&lkg), &health);
-        let off = Repairer::new(
-            RepairConfig {
-                reanchor: false,
-                reinduce: false,
-            },
-            Verifier::default(),
-        );
-        assert!(off
-            .repair(
-                &bundle,
-                &v2,
-                20,
-                Some(&lkg),
-                &drift,
-                &WrapperInducer::default()
-            )
-            .is_none());
     }
 }

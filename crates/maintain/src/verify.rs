@@ -431,8 +431,6 @@ pub struct VerifyConfig {
     /// Allowed relative count drift for multi-node wrappers (single-node
     /// wrappers must keep extracting exactly one node).
     pub cardinality_slack: f64,
-    /// Whether to probe anchor attribute values through the tag index.
-    pub check_anchors: bool,
 }
 
 impl Default for VerifyConfig {
@@ -441,7 +439,6 @@ impl Default for VerifyConfig {
             min_page_elements: 8,
             broken_page_ratio: 0.1,
             cardinality_slack: 0.5,
-            check_anchors: true,
         }
     }
 }
@@ -551,10 +548,8 @@ impl Verifier {
             });
         }
 
-        if self.config.check_anchors {
-            let already_unhealthy = signals.iter().any(HealthSignal::is_severe);
-            probe_anchors(bundle, doc, lkg, already_unhealthy, &mut signals);
-        }
+        let already_unhealthy = signals.iter().any(HealthSignal::is_severe);
+        probe_anchors(bundle, doc, lkg, already_unhealthy, &mut signals);
 
         signals.sort_by_key(|s| !s.is_severe());
         HealthReport {

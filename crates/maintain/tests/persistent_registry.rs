@@ -734,6 +734,75 @@ fn resubmitting_a_maintained_batch_is_idempotent() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// A revision committed outside the loop starts the new wrapper's
+/// lifecycle afresh: a retired site returns to `Monitoring` with a zero
+/// streak (live and after recovery), and its next batch repairs again.
+#[test]
+fn committed_revision_resets_a_retired_site_to_monitoring() {
+    let root = temp_root("commit-reset");
+    let mut registry = PersistentRegistry::create(&root, 1).unwrap();
+    let maintainer = Maintainer::default();
+    let site = "reset-site";
+    // Only the bundle induced on the `p` page is needed here.
+    let (_, bundle) = rename_job(site, usize::MAX, 0);
+    registry.install(site, bundle, 0).unwrap();
+
+    // One healthy snapshot, then the targets vanish for good: retired.
+    let day_page = |day: i64, doc| PageVersion { day, doc };
+    let gone: Vec<PageVersion> = std::iter::once(day_page(0, page("p", &["1", "2", "3"])))
+        .chain((1..4).map(|i| day_page(20 * i, page("p", &[]))))
+        .collect();
+    let job = |pages: Vec<PageVersion>| MaintenanceJob {
+        site: site.to_string(),
+        pages,
+        seed_lkg: None,
+        inducer: None,
+    };
+    let logs = registry
+        .maintain_batch_sequential(&[job(gone)], &maintainer)
+        .unwrap();
+    assert_eq!(
+        logs[0].outcomes.last().unwrap().state,
+        WrapperState::Retired
+    );
+    assert_eq!(registry.state(site), Some(WrapperState::Retired));
+
+    // Commit revision n+1 outside the loop.
+    let mut next = registry.current(site).unwrap().clone();
+    next.revision += 1;
+    registry.commit_revision(site, next, 70).unwrap();
+    assert_eq!(registry.state(site), Some(WrapperState::Monitoring));
+    drop(registry);
+    let mut registry = PersistentRegistry::recover(&root).unwrap();
+    assert_eq!(
+        registry.state(site),
+        Some(WrapperState::Monitoring),
+        "the reset survives recovery"
+    );
+
+    // The next batch repairs the new wrapper when its class is renamed.
+    let renamed = vec![
+        day_page(80, page("p", &["4", "5", "6"])),
+        day_page(100, page("price", &["7", "8", "9"])),
+    ];
+    let logs = registry
+        .maintain_batch_sequential(&[job(renamed)], &maintainer)
+        .unwrap();
+    assert_eq!(logs[0].outcomes.len(), 2, "no day skipped");
+    assert!(
+        logs[0].repairs() > 0,
+        "a reset site repairs again: {:?}",
+        logs[0]
+            .outcomes
+            .iter()
+            .map(|o| (o.day, o.state, o.flagged, o.repaired))
+            .collect::<Vec<_>>()
+    );
+    assert_eq!(registry.state(site), Some(WrapperState::Monitoring));
+
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
 #[test]
 fn compaction_preserves_live_state_and_bounds_shard_logs() {
     let root = temp_root("compact");

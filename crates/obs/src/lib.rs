@@ -9,9 +9,8 @@
 //! * **Tracing** ([`trace`]): [`Span`](trace::Record)/event records with
 //!   monotonic `Instant`-anchored timestamps ([`clock`]), RAII
 //!   [`span`] guards and guard-free
-//!   [`record_span`], per-thread lock-free SPSC
-//!   [rings](ring::Ring) drained into a bounded global
-//!   [journal](journal::Journal), and a top-K slow-span log.  Surfaced by
+//!   [`record_span`], one bounded global [journal](journal::Journal) every
+//!   record is pushed into, and a top-K slow-span log.  Surfaced by
 //!   the daemon as `GET /debug/trace` (NDJSON) and `GET /debug/slow`.
 //! * **Metrics** ([`metrics`]): named counters/gauges/histograms with
 //!   label sets behind `Arc`-backed handles; rendered (and parsed back)
@@ -33,17 +32,17 @@
 //! are always live but cost one relaxed `fetch_add` per record; hot loops
 //! accumulate locally and flush once per call.
 //!
-//! ## Ring-buffer semantics
+//! ## Journal semantics
 //!
-//! Each emitting thread owns one fixed-capacity SPSC ring.  A **full ring
-//! drops the newest record** (counted in
-//! [`JournalStats::ring_dropped`](journal::JournalStats)) so drain order
-//! is never corrupted; the **full journal evicts the oldest record**
-//! (counted in `overwritten`) so the `/debug/trace` view stays
-//! recency-bounded.  Journal drains are serialised by the journal mutex,
-//! which is what makes it the single consumer each ring requires; the
-//! no-loss/no-duplication guarantee under parallel emission is proven by
-//! the concurrency test in [`journal`].
+//! Every emitted record is built outside any lock and then pushed into
+//! one fixed-capacity global journal under its mutex.  A **full journal
+//! evicts the oldest record** (counted in
+//! [`JournalStats::overwritten`](journal::JournalStats)), so the
+//! `/debug/trace` view always holds the newest records, whether or not a
+//! reader has looked in between.  There is no per-thread buffer: a thread
+//! keeps only its small dense id, so threads that exit leave nothing
+//! behind.  The no-loss/no-duplication guarantee under parallel emission
+//! is proven by the concurrency test in [`journal`].
 
 #![deny(missing_docs)]
 
@@ -51,7 +50,6 @@ pub mod clock;
 pub mod journal;
 pub mod logger;
 pub mod metrics;
-pub mod ring;
 pub mod trace;
 
 pub use journal::JournalStats;

@@ -13,24 +13,20 @@
 //! # Record flow
 //!
 //! When tracing is on (or the sampler picks a record), the emitting
-//! thread timestamps the record against the monotonic
-//! [anchor](crate::clock), tags it with a process-unique sequence number,
-//! and pushes it into its own lock-free SPSC [`Ring`] (registered with
-//! the global [`Journal`] on first use).  Consumers — `/debug/trace`,
-//! benches, tests — drain rings into the bounded journal on read.  A full
-//! ring drops the newest record (counted); a full journal evicts the
-//! oldest (counted); both counters surface in [`journal_stats`].
+//! thread builds the record with no lock held — timestamped against the
+//! monotonic [anchor](crate::clock), tagged with a process-unique
+//! sequence number and its thread id — and then pushes it into the global
+//! bounded [`Journal`] under the journal's mutex.  A full journal evicts the oldest record (counted in
+//! [`journal_stats`]), so the journal always holds the newest records,
+//! whether or not anyone has read it in between.  Consumers —
+//! `/debug/trace`, benches, tests — read the journal directly.
 
 use crate::clock;
 use crate::journal::{Journal, JournalStats};
-use crate::ring::Ring;
-use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
-/// Records each emitting thread's ring can hold before dropping.
-pub const RING_CAPACITY: usize = 1024;
 /// Records the global journal retains.
 pub const JOURNAL_CAPACITY: usize = 4096;
 /// Spans kept in the slow log (top-K by duration).
@@ -127,7 +123,8 @@ static SLOW: Mutex<Vec<Record>> = Mutex::new(Vec::new());
 static JOURNAL: Journal = Journal::new(JOURNAL_CAPACITY);
 
 thread_local! {
-    static LOCAL: OnceCell<(u64, Arc<Ring>)> = const { OnceCell::new() };
+    /// The small dense id of the current thread, taken on its first record.
+    static THREAD_ID: u64 = THREAD_IDS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Sets the process-wide tracing mode.
@@ -193,31 +190,23 @@ fn emit(
     dur_us: u64,
     fields: &[(&'static str, u64)],
 ) {
-    let mut record = Record {
+    let record = Record {
         seq: SEQ.fetch_add(1, Ordering::Relaxed),
         kind,
         name,
-        thread: 0,
+        thread: THREAD_ID.with(|id| *id),
         start_us,
         dur_us,
         fields: fields.to_vec(),
     };
-    LOCAL.with(|cell| {
-        let (thread, ring) = cell.get_or_init(|| {
-            let ring = Arc::new(Ring::new(RING_CAPACITY));
-            JOURNAL.register(Arc::clone(&ring));
-            (THREAD_IDS.fetch_add(1, Ordering::Relaxed), ring)
-        });
-        record.thread = *thread;
-        if kind == RecordKind::Span && dur_us >= SLOW_THRESHOLD_US.load(Ordering::Relaxed) {
-            if let Ok(mut slow) = SLOW.lock() {
-                slow.push(record.clone());
-                slow.sort_by(|a, b| b.dur_us.cmp(&a.dur_us).then(a.seq.cmp(&b.seq)));
-                slow.truncate(SLOW_CAPACITY);
-            }
+    if kind == RecordKind::Span && dur_us >= SLOW_THRESHOLD_US.load(Ordering::Relaxed) {
+        if let Ok(mut slow) = SLOW.lock() {
+            slow.push(record.clone());
+            slow.sort_by(|a, b| b.dur_us.cmp(&a.dur_us).then(a.seq.cmp(&b.seq)));
+            slow.truncate(SLOW_CAPACITY);
         }
-        ring.push(record);
-    });
+    }
+    JOURNAL.push(record);
 }
 
 /// An RAII span: created by [`span`], emits a [`RecordKind::Span`] record
@@ -298,8 +287,7 @@ pub fn event(name: &'static str, fields: &[(&'static str, u64)]) {
     emit(RecordKind::Event, name, clock::offset_us(), 0, fields);
 }
 
-/// Drains all rings into the global journal and returns the newest
-/// `limit` records in emission order.
+/// The newest `limit` records of the global journal, in push order.
 pub fn recent(limit: usize) -> Vec<Record> {
     JOURNAL.recent(limit)
 }
@@ -314,7 +302,7 @@ pub fn trace_ndjson(limit: usize) -> String {
     out
 }
 
-/// Drains and snapshots the global journal counters.
+/// A snapshot of the global journal counters.
 pub fn journal_stats() -> JournalStats {
     JOURNAL.stats()
 }
@@ -345,7 +333,7 @@ pub fn slow_ndjson() -> String {
     out
 }
 
-/// Test/bench hook: clears the journal and the slow log (mode, rings and
+/// Test/bench hook: clears the journal and the slow log (mode and
 /// counters are left as-is).
 pub fn clear() {
     JOURNAL.clear();
