@@ -51,8 +51,8 @@ impl Digest {
 
 fn digest_document(doc: &Document, d: &mut Digest) {
     let mut strings: Vec<Option<&str>> = vec![None; doc.interner().len()];
-    d.num(doc.arena_len());
-    for index in 0..doc.arena_len() {
+    d.num(doc.len());
+    for index in 0..doc.len() {
         let id = NodeId::from_index(index);
         match doc.data(id) {
             NodeData::Element { tag, attributes } => {

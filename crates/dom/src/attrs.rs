@@ -20,28 +20,25 @@
 //! shared behind an [`Arc`], so every capture of the same document clones a
 //! refcount instead of re-walking the tree.
 //!
-//! # Invalidation contract
-//!
-//! Identical to the order/tag indexes (see [`crate::order`]): built on first
-//! use, cached behind a `OnceLock`, dropped by `Document::invalidate_indexes`
-//! on every mutation.  The recorded [`epoch`](AttrIndex::epoch) proves
-//! freshness.  Symbols come from the document's own interner and never
-//! outlive it (see [`crate::intern`]).
+//! Like the order/tag indexes (see [`crate::order`]) it is built on first
+//! use by one pass over the arena and cached behind a `OnceLock`; a
+//! document is immutable once built, so the index never goes stale.
+//! Symbols come from the document's own interner and never outlive it (see
+//! [`crate::intern`]).
 
 use crate::document::Document;
 use crate::intern::Sym;
-use crate::order::OrderIndex;
+use crate::node::NodeId;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Attribute censuses of a [`Document`], keyed by interned symbols.
 ///
 /// Built lazily by [`Document::attr_index`]; see the
-/// [module documentation](self) for the invalidation contract.
+/// [module documentation](self).
 #[derive(Debug, Clone)]
 pub struct AttrIndex {
-    epoch: u64,
-    /// `(name, value) → carriers`: the number of in-tree nodes (including
+    /// `(name, value) → carriers`: the number of nodes (including
     /// the synthetic root) whose *first* attribute named `name` — mirroring
     /// [`Document::attribute`] shadowing — has value `value`.
     carriers: HashMap<(Sym, Sym), u32>,
@@ -51,14 +48,14 @@ pub struct AttrIndex {
 }
 
 impl AttrIndex {
-    pub(crate) fn build(doc: &Document, order: &OrderIndex) -> AttrIndex {
+    pub(crate) fn build(doc: &Document) -> AttrIndex {
         let mut carriers: HashMap<(Sym, Sym), u32> = HashMap::new();
         let mut values = BTreeSet::new();
         // Interning dedupes, so tracking seen value *symbols* dodges both the
         // set probe and the `String` allocation for every repeated value
         // (class names and shared hrefs repeat heavily).
         let mut seen = vec![false; doc.interner().len()];
-        for &id in order.nodes_in_order() {
+        for id in (0..doc.len()).map(NodeId::from_index) {
             let attrs = doc.attr_syms(id);
             for (i, &(name, value)) in attrs.iter().enumerate() {
                 if !seen[value.index()] {
@@ -73,18 +70,12 @@ impl AttrIndex {
             }
         }
         AttrIndex {
-            epoch: order.epoch(),
             carriers,
             values: Arc::new(values),
         }
     }
 
-    /// The document epoch this index was built at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Number of in-tree nodes whose visible attribute `name` equals
+    /// Number of nodes whose visible attribute `name` equals
     /// `value`, root included.  Symbols must come from this document's
     /// interner (string entry points live on [`Document`]).
     pub fn carrier_count_syms(&self, name: Sym, value: Sym) -> usize {
@@ -108,15 +99,7 @@ impl AttrIndex {
 #[cfg(test)]
 mod tests {
     use crate::builder::el;
-    use crate::node::Attribute;
     use crate::Document;
-
-    fn attr(name: &str, value: &str) -> Attribute {
-        Attribute {
-            name: name.to_string(),
-            value: value.to_string(),
-        }
-    }
 
     fn sample() -> Document {
         el("html")
@@ -174,27 +157,15 @@ mod tests {
 
     #[test]
     fn shadowed_duplicate_names_follow_first_wins() {
-        let mut doc = Document::new();
-        let e = doc.create_element("div", vec![attr("class", "first"), attr("class", "second")]);
-        doc.append_child(doc.root(), e).unwrap();
+        let doc = el("div")
+            .attr("class", "first")
+            .attr("class", "second")
+            .into_document();
         // `Document::attribute` sees only the first value …
         assert_eq!(doc.carrier_count("class", "first"), 1);
         assert_eq!(doc.carrier_count("class", "second"), 0);
         // … but the value census records every value present in the markup.
         assert!(doc.attribute_value_census().contains("first"));
         assert!(doc.attribute_value_census().contains("second"));
-    }
-
-    #[test]
-    fn index_invalidates_on_mutation() {
-        let mut doc = sample();
-        let before = doc.attr_index().epoch();
-        assert_eq!(doc.carrier_count("id", "x"), 1);
-        let div = doc.elements_by_tag("div")[1];
-        doc.set_attribute(div, "id", "y").unwrap();
-        assert!(doc.attr_index().epoch() > before);
-        assert_eq!(doc.carrier_count("id", "x"), 0);
-        assert_eq!(doc.carrier_count("id", "y"), 1);
-        assert!(doc.attribute_value_census().contains("y"));
     }
 }

@@ -105,44 +105,28 @@ impl TreeSpec {
     pub fn into_document(self) -> Document {
         let mut doc = Document::new();
         let root = doc.root();
-        build_into(&mut doc, root, &self);
+        build_into(&mut doc, root, self);
         doc
-    }
-
-    /// Materialises the specification under an existing parent node of `doc`.
-    ///
-    /// Returns the id of the created top node of the subtree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` is not a live node of `doc`.
-    pub fn build_under(&self, doc: &mut Document, parent: NodeId) -> NodeId {
-        assert!(
-            doc.contains(parent),
-            "build_under: {parent} is not a live node"
-        );
-        build_into(doc, parent, self)
     }
 }
 
-fn build_into(doc: &mut Document, parent: NodeId, spec: &TreeSpec) -> NodeId {
+/// Appends `spec` under `parent`, depth first, so every node lands in
+/// document order.
+fn build_into(doc: &mut Document, parent: NodeId, spec: TreeSpec) {
     match spec {
         TreeSpec::Element {
             tag,
             attributes,
             children,
         } => {
-            let data = NodeData::Element {
-                tag: tag.clone(),
-                attributes: attributes.clone(),
-            };
-            let id = doc.append_new(parent, data);
+            let id = doc.append_new(parent, NodeData::Element { tag, attributes });
             for c in children {
                 build_into(doc, id, c);
             }
-            id
         }
-        TreeSpec::Text(t) => doc.append_new(parent, NodeData::Text(t.clone())),
+        TreeSpec::Text(t) => {
+            doc.append_new(parent, NodeData::Text(t));
+        }
     }
 }
 
@@ -415,14 +399,5 @@ mod tests {
         let title = doc.elements_by_tag("title")[0];
         assert_eq!(doc.normalized_text(title), "Hello");
         assert_eq!(doc.elements_by_tag("body").len(), 1);
-    }
-
-    #[test]
-    fn build_under_existing_document() {
-        let mut doc = el("html").child(el("body")).into_document();
-        let body = doc.elements_by_tag("body")[0];
-        let added = el("div").attr("class", "late").build_under(&mut doc, body);
-        assert_eq!(doc.parent(added), Some(body));
-        assert_eq!(doc.elements_by_class("late").len(), 1);
     }
 }

@@ -1,7 +1,7 @@
 //! The arena-based [`Document`] type and its navigation API.
 
 use crate::attrs::AttrIndex;
-use crate::error::{DomError, Result};
+use crate::error::Result;
 use crate::hash::HashIndex;
 use crate::intern::{Interner, Sym};
 use crate::iter::{
@@ -19,24 +19,19 @@ use std::sync::OnceLock;
 /// parent of the top-level element(s) and is the context node wrappers are
 /// evaluated from.
 ///
-/// Node ids remain stable across mutations; removed nodes are only detached,
-/// never reused.
-///
-/// Ordered queries (`document_order`, `is_ancestor_of`, `sort_document_order`,
-/// the `following`/`preceding` axes and the tag lookups) are served by lazily
-/// built indexes; see [`crate::order`] for the invalidation contract.
+/// A document is immutable once built, and every node's [`NodeId`] is its
+/// document-order (pre-order) rank; see [`crate::order`].  Ordered queries
+/// (`is_ancestor_of`, `depth`, `subtree_size`, the `following`/`preceding`
+/// axes and the tag lookups) are served by lazily built indexes that, like
+/// the document, never change once built.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Document {
     pub(crate) nodes: Vec<Node>,
     root: NodeId,
-    /// Bumped by every mutation; cached indexes are valid only while their
-    /// recorded epoch equals this counter.
-    epoch: u64,
     /// Per-document string interner for tag names, attribute names and
-    /// attribute values.  Append-only — never invalidated; see
-    /// [`crate::intern`] for the ownership contract.
+    /// attribute values; see [`crate::intern`] for the ownership contract.
     interner: Interner,
-    /// Lazily built pre/post-order numbering (see [`crate::order`]).
+    /// Lazily built subtree sizes and depths (see [`crate::order`]).
     order: OnceLock<OrderIndex>,
     /// Lazily built tag-name → elements lookup (see [`crate::order`]).
     tags: OnceLock<TagIndex>,
@@ -75,7 +70,6 @@ impl Document {
         Document {
             nodes: arena,
             root: NodeId(0),
-            epoch: 0,
             interner,
             order: OnceLock::new(),
             tags: OnceLock::new(),
@@ -85,42 +79,28 @@ impl Document {
     }
 
     // ------------------------------------------------------------------
-    // Order / tag indexes (see the `order` module for the contract).
+    // Lazily built indexes (see the `order` module).
     // ------------------------------------------------------------------
 
-    /// The document's mutation epoch.  Every mutating operation increments
-    /// it; a cached [`OrderIndex`]/[`TagIndex`] is valid iff its recorded
-    /// epoch equals this value.
-    pub fn order_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The document-order index, built on first use after a mutation.
+    /// The subtree-size and depth index, built on first use.
     pub fn order_index(&self) -> &OrderIndex {
-        self.order
-            .get_or_init(|| OrderIndex::build(self, self.epoch))
+        self.order.get_or_init(|| OrderIndex::build(self))
     }
 
-    /// The tag-name index, built on first use after a mutation.
+    /// The tag-name index, built on first use.
     pub fn tag_index(&self) -> &TagIndex {
-        self.tags
-            .get_or_init(|| TagIndex::build(self, self.order_index()))
+        self.tags.get_or_init(|| TagIndex::build(self))
     }
 
-    /// The structural-hash index, built on first use after a mutation.
+    /// The structural-hash index, built on first use.
     pub fn hash_index(&self) -> &HashIndex {
-        self.hashes
-            .get_or_init(|| HashIndex::build(self, self.order_index(), self.epoch))
+        self.hashes.get_or_init(|| HashIndex::build(self))
     }
 
     /// The structural hash of the subtree rooted at `id` — O(1) via the hash
-    /// index for nodes in the tree; detached nodes hash recursively.  Same
-    /// value as [`crate::structural_hash`].
+    /// index.  Same value as [`crate::structural_hash`].
     pub fn subtree_hash(&self, id: NodeId) -> u64 {
-        match self.order_index().position(id) {
-            Some(pos) => self.hash_index().hash_at(pos as usize),
-            None => crate::hash::hash_detached(self, id),
-        }
+        self.hash_index().hash(id)
     }
 
     /// The structural hash of the whole document (the root's subtree hash).
@@ -130,13 +110,12 @@ impl Document {
         self.subtree_hash(self.root)
     }
 
-    /// The attribute-census index, built on first use after a mutation.
+    /// The attribute-census index, built on first use.
     pub fn attr_index(&self) -> &AttrIndex {
-        self.attrs
-            .get_or_init(|| AttrIndex::build(self, self.order_index()))
+        self.attrs.get_or_init(|| AttrIndex::build(self))
     }
 
-    /// Number of in-tree nodes whose visible attribute `name` equals
+    /// Number of nodes whose visible attribute `name` equals
     /// `value` (the synthetic root included, should it ever carry
     /// attributes).  O(1) via the attribute index after its one-time build;
     /// needles absent from the interner can match nothing and return 0
@@ -152,17 +131,6 @@ impl Document {
     /// sorted.  Callers clone the `Arc`, not the set.
     pub fn attribute_value_census(&self) -> &std::sync::Arc<std::collections::BTreeSet<String>> {
         self.attr_index().values()
-    }
-
-    /// Drops the cached indexes and bumps the epoch.  Called by every
-    /// mutation primitive; call it from any new mutation operation that does
-    /// not go through the existing ones.
-    pub(crate) fn invalidate_indexes(&mut self) {
-        self.epoch += 1;
-        self.order.take();
-        self.tags.take();
-        self.hashes.take();
-        self.attrs.take();
     }
 
     /// Parses HTML text into a document with default [`crate::ParseOptions`].
@@ -191,9 +159,9 @@ impl Document {
             .find(|&c| self.kind(c) == NodeKind::Element)
     }
 
-    /// Number of live (non-detached) nodes, including the synthetic root.
+    /// Number of nodes, including the synthetic root.
     pub fn len(&self) -> usize {
-        self.nodes.iter().filter(|n| !n.detached).count()
+        self.nodes.len()
     }
 
     /// Returns `true` if the document contains only the synthetic root.
@@ -201,65 +169,26 @@ impl Document {
         self.len() <= 1
     }
 
-    /// Total number of arena slots ever allocated (live + detached).
-    pub fn arena_len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns `true` if `id` refers to a live node of this document.
+    /// Returns `true` if `id` refers to a node of this document.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.nodes
-            .get(id.index())
-            .map(|n| !n.detached)
-            .unwrap_or(false)
+        id.index() < self.nodes.len()
     }
 
     pub(crate) fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
     }
 
-    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.index()]
-    }
-
-    /// Checks that `id` is a valid, live node of this document.
-    pub fn check(&self, id: NodeId) -> Result<()> {
-        if self.contains(id) {
-            Ok(())
-        } else {
-            Err(DomError::InvalidNodeId(id.0))
-        }
-    }
-
     // ------------------------------------------------------------------
-    // Node creation (used by builder, parser, and mutation).
+    // Node creation (used by the builders and the parser).
     // ------------------------------------------------------------------
 
-    pub(crate) fn alloc(&mut self, data: NodeData) -> NodeId {
-        // Growing the arena does not reorder live nodes, but the index arrays
-        // are sized to the arena, so allocation participates in the same
-        // epoch contract as the structural mutations.
-        self.invalidate_indexes();
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node::new(data));
-        // Admission re-interns the payload from its strings, so imported
-        // subtrees can never smuggle a foreign document's symbols in.
-        self.sync_syms(id);
-        id
-    }
-
-    /// Allocates a node and links it as the last child of `parent` in one
-    /// step: the builders' and the parser's append primitive.
-    ///
-    /// Equivalent to [`alloc`](Self::alloc) followed by
-    /// [`append_child`](Self::append_child), minus what a fresh node makes
-    /// unnecessary: it cannot be an ancestor of `parent`, so there is no
-    /// cycle walk (which costs the depth of `parent`, quadratic over a
-    /// deeply nested page), and the indexes are invalidated once, not
-    /// twice.
-    /// `parent` must be a node of this document.
+    /// Allocates a node as the last child of `parent`: the builders' and
+    /// the parser's one append primitive.  `parent` must be on the open
+    /// rightmost path (the root, the last node, or one of its ancestors),
+    /// which every constructor guarantees; that is what keeps arena order
+    /// equal to document order (see [`crate::order`]).  No index has been
+    /// built yet while a document is under construction.
     pub(crate) fn append_new(&mut self, parent: NodeId, data: NodeData) -> NodeId {
-        self.invalidate_indexes();
         let id = NodeId(self.nodes.len() as u32);
         let prev = self.nodes[parent.index()].last_child;
         let mut node = Node::new(data);
@@ -275,14 +204,9 @@ impl Document {
         id
     }
 
-    /// Re-derives the interned symbols of a node from its string payload.
-    ///
-    /// Called by [`alloc`](Self::alloc), [`append_new`](Self::append_new)
-    /// and by every payload-mutating operation (`rename_element`,
-    /// `set_attribute`, `remove_attribute`); any new operation that rewrites
-    /// `NodeData` strings must call it too, or symbol-based lookups will
-    /// silently miss the node.
-    pub(crate) fn sync_syms(&mut self, id: NodeId) {
+    /// Derives the interned symbols of a freshly appended node from its
+    /// string payload.
+    fn sync_syms(&mut self, id: NodeId) {
         // Split borrow: the arena slot and the interner are disjoint fields.
         let Document {
             nodes, interner, ..
@@ -303,19 +227,6 @@ impl Document {
                 node.attr_syms.clear();
             }
         }
-    }
-
-    /// Creates a new, detached element node owned by this document.
-    pub fn create_element(&mut self, tag: impl Into<String>, attributes: Vec<Attribute>) -> NodeId {
-        self.alloc(NodeData::Element {
-            tag: tag.into(),
-            attributes,
-        })
-    }
-
-    /// Creates a new, detached text node owned by this document.
-    pub fn create_text(&mut self, text: impl Into<String>) -> NodeId {
-        self.alloc(NodeData::Text(text.into()))
     }
 
     // ------------------------------------------------------------------
@@ -371,8 +282,8 @@ impl Document {
     // Symbol-based accessors (see `crate::intern` for the contract).
     // ------------------------------------------------------------------
 
-    /// The document's string interner (read access; interning happens through
-    /// the arena allocator and the mutation primitives).
+    /// The document's string interner (read access; interning happens when
+    /// a node is appended).
     pub fn interner(&self) -> &Interner {
         &self.interner
     }
@@ -503,84 +414,33 @@ impl Document {
     }
 
     /// Nodes strictly after `id` in document order that are not descendants
-    /// of `id` (the XPath `following` axis), returned in document order.
-    ///
-    /// With the order index this is a contiguous range scan: everything
-    /// pre-numbered after `id`'s subtree follows `id`.
+    /// of `id` (the XPath `following` axis), returned in document order:
+    /// the id range after `id`'s subtree.
     pub fn following(&self, id: NodeId) -> Vec<NodeId> {
-        let index = self.order_index();
-        match index.subtree_range(id) {
-            Some(range) => index.nodes_in_order()[range.end..].to_vec(),
-            None => {
-                // Detached node: fall back to the structural walk.  Sort
-                // structurally too — inside a detached subtree, raw id order
-                // need not coincide with document order.
-                let mut out = Vec::new();
-                for anc in self.ancestors_or_self(id) {
-                    for sib in self.following_siblings(anc) {
-                        out.extend(self.descendants_or_self(sib));
-                    }
-                }
-                out.sort_by(|&a, &b| self.document_order_unindexed(a, b));
-                out
-            }
-        }
+        let end = self.order_index().subtree_range(id).end;
+        (end..self.len()).map(NodeId::from_index).collect()
     }
 
     /// Nodes strictly before `id` in document order that are not ancestors of
-    /// `id` (the XPath `preceding` axis), returned in document order.
-    ///
-    /// With the order index this scans the pre-order prefix before `id` and
-    /// drops ancestors with an O(1) post-number test per candidate.
+    /// `id` (the XPath `preceding` axis), returned in document order: the
+    /// ids before `id` whose subtree ends at or before `id`.
     pub fn preceding(&self, id: NodeId) -> Vec<NodeId> {
         let index = self.order_index();
-        match (index.subtree_range(id), index.post(id)) {
-            (Some(range), Some(post)) => index.nodes_in_order()[..range.start]
-                .iter()
-                .copied()
-                // Ancestors are the prefix nodes whose interval contains
-                // `id`, i.e. those with a larger post number.
-                .filter(|&n| index.post(n).is_some_and(|p| p < post))
-                .collect(),
-            _ => {
-                let mut out = Vec::new();
-                for anc in self.ancestors_or_self(id) {
-                    for sib in self.preceding_siblings(anc) {
-                        out.extend(self.descendants_or_self(sib));
-                    }
-                }
-                out.sort_by(|&a, &b| self.document_order_unindexed(a, b));
-                out
-            }
-        }
+        (0..id.index())
+            .map(NodeId::from_index)
+            .filter(|&n| index.subtree_range(n).end <= id.index())
+            .collect()
     }
 
-    /// Returns `true` if `ancestor` is a proper ancestor of `node`.
-    ///
-    /// O(1) via the order index once built; nodes outside the tree (freshly
-    /// created or detached) fall back to walking the parent chain.
+    /// Returns `true` if `ancestor` is a proper ancestor of `node`.  O(1)
+    /// via the order index.
     pub fn is_ancestor_of(&self, ancestor: NodeId, node: NodeId) -> bool {
-        match self.order_index().is_ancestor_of(ancestor, node) {
-            Some(answer) => answer,
-            None => self.is_ancestor_walking(ancestor, node),
-        }
+        self.order_index().is_ancestor_of(ancestor, node)
     }
 
-    /// Ancestor test by walking the parent chain, without touching (or
-    /// building) the order index.  Mutation primitives use this for their
-    /// cycle checks so that a burst of edits never pays an index rebuild per
-    /// edit.
-    pub(crate) fn is_ancestor_walking(&self, ancestor: NodeId, node: NodeId) -> bool {
-        self.ancestors(node).any(|a| a == ancestor)
-    }
-
-    /// Depth of a node: the root has depth 0.  O(1) via the order index for
-    /// nodes in the tree.
+    /// Depth of a node: the root has depth 0.  O(1) via the order index.
     pub fn depth(&self, id: NodeId) -> usize {
-        match self.order_index().depth(id) {
-            Some(d) => d as usize,
-            None => self.ancestors(id).count(),
-        }
+        self.order_index().depth(id) as usize
     }
 
     /// 1-based position of the node among *all* children of its parent
@@ -620,12 +480,9 @@ impl Document {
     }
 
     /// Number of nodes in the subtree rooted at `id` (including `id`).
-    /// O(1) via the order index for nodes in the tree.
+    /// O(1) via the order index.
     pub fn subtree_size(&self, id: NodeId) -> usize {
-        match self.order_index().subtree_size(id) {
-            Some(s) => s as usize,
-            None => self.descendants_or_self(id).count(),
-        }
+        self.order_index().subtree_size(id) as usize
     }
 
     /// The least common ancestor of a non-empty set of nodes.
@@ -653,30 +510,17 @@ impl Document {
         path.last().copied()
     }
 
-    /// Compares two nodes by document order (pre-order of the tree).
-    ///
-    /// O(1) per comparison via the order index: one array lookup per node.
-    /// Nodes outside the tree (detached) sort after all tree nodes; two
-    /// detached nodes are compared structurally (their order within the
-    /// detached subtree), as the pre-index comparator did.
+    /// Compares two nodes by document order (pre-order of the tree): ids
+    /// are pre-order ranks, so this is the id comparison.
     pub fn document_order(&self, a: NodeId, b: NodeId) -> std::cmp::Ordering {
-        if a == b {
-            return std::cmp::Ordering::Equal;
-        }
-        let index = self.order_index();
-        match (index.position(a), index.position(b)) {
-            (Some(pa), Some(pb)) => pa.cmp(&pb),
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (None, None) => self.document_order_unindexed(a, b),
-        }
+        a.cmp(&b)
     }
 
-    /// The pre-index comparator: compares two nodes by rebuilding both root
-    /// paths (two allocations, O(depth) time per comparison).
+    /// The structural comparator: compares two nodes by rebuilding both
+    /// root paths (two allocations, O(depth) time per comparison).
     ///
-    /// Kept as the reference implementation for the order-index property
-    /// tests and the `order_index` benchmark; production code should use
+    /// The reference implementation for the order property tests and the
+    /// `order_index` benchmark; production code uses
     /// [`document_order`](Self::document_order).
     pub fn document_order_unindexed(&self, a: NodeId, b: NodeId) -> std::cmp::Ordering {
         if a == b {
@@ -687,23 +531,10 @@ impl Document {
         path_a.cmp(&path_b)
     }
 
-    /// Sorts and deduplicates a vector of nodes into document order.
-    ///
-    /// When every node is in the tree (the overwhelmingly common case) the
-    /// order index is fetched once and each comparison is one array lookup —
-    /// no allocation inside the sort.  A set containing detached nodes falls
-    /// back to the structural comparator so their relative order stays
-    /// correct.
+    /// Sorts and deduplicates a vector of nodes into document order, which
+    /// is id order.
     pub fn sort_document_order(&self, nodes: &mut Vec<NodeId>) {
-        if nodes.len() <= 1 {
-            return;
-        }
-        let index = self.order_index();
-        if nodes.iter().all(|&n| index.position(n).is_some()) {
-            nodes.sort_unstable_by_key(|&n| index.position(n).unwrap_or(u32::MAX));
-        } else {
-            nodes.sort_by(|&a, &b| self.document_order(a, b));
-        }
+        nodes.sort_unstable();
         nodes.dedup();
     }
 
@@ -798,7 +629,7 @@ impl Document {
     // Convenience queries used across the workspace.
     // ------------------------------------------------------------------
 
-    /// All live element nodes with the given tag name, in document order.
+    /// All element nodes with the given tag name, in document order.
     /// Served by the tag index: no tree walk after the first lookup.
     pub fn elements_by_tag(&self, tag: &str) -> Vec<NodeId> {
         self.elements_by_tag_slice(tag).to_vec()
@@ -827,38 +658,25 @@ impl Document {
     /// tag index.
     ///
     /// This is the fast path for `descendant::tag` steps: two binary
-    /// searches over the tag's pre-ordered node list select exactly the
-    /// subtree range, skipping non-matching subtrees entirely.  Returns
-    /// `None` when `context` is not in the tree (detached), in which case
-    /// callers should walk [`descendants`](Self::descendants).
-    pub fn descendants_by_tag_slice(&self, context: NodeId, tag: &str) -> Option<&[NodeId]> {
-        let index = self.order_index();
-        let range = index.subtree_range(context)?;
+    /// searches over the tag's id-ordered node list select exactly the
+    /// subtree's id range, skipping non-matching subtrees entirely.
+    pub fn descendants_by_tag_slice(&self, context: NodeId, tag: &str) -> &[NodeId] {
         // An unknown needle matches nothing — the interner miss is the
-        // instant answer (the subtree range was still needed to tell a
-        // detached context apart).
-        let list = match self.sym(tag) {
-            Some(sym) => self.tag_index().nodes_sym(sym),
-            None => return Some(&[]),
+        // instant answer.
+        let Some(sym) = self.sym(tag) else {
+            return &[];
         };
-        // Every indexed tag node has a position; compare by pre number.
-        let pos = |n: NodeId| index.position(n).unwrap_or(u32::MAX) as usize;
-        let lo = list.partition_point(|&n| pos(n) <= range.start);
-        let hi = list.partition_point(|&n| pos(n) < range.end);
-        Some(&list[lo..hi])
+        let list = self.tag_index().nodes_sym(sym);
+        let range = self.order_index().subtree_range(context);
+        let lo = list.partition_point(|&n| n.index() <= range.start);
+        let hi = list.partition_point(|&n| n.index() < range.end);
+        &list[lo..hi]
     }
 
     /// The elements with the given tag inside the subtree of `context`
-    /// (excluding `context` itself), in document order.  Works for detached
-    /// contexts too, via a subtree walk.
+    /// (excluding `context` itself), in document order.
     pub fn descendants_by_tag(&self, context: NodeId, tag: &str) -> Vec<NodeId> {
-        match self.descendants_by_tag_slice(context, tag) {
-            Some(slice) => slice.to_vec(),
-            None => self
-                .descendants(context)
-                .filter(|&n| self.tag_name(n) == Some(tag))
-                .collect(),
-        }
+        self.descendants_by_tag_slice(context, tag).to_vec()
     }
 
     /// First element with a matching `id` attribute, if any.
@@ -867,7 +685,7 @@ impl Document {
             .find(|&n| self.attribute(n, "id") == Some(id_value))
     }
 
-    /// All live element nodes whose `class` attribute contains the given
+    /// All element nodes whose `class` attribute contains the given
     /// class (whitespace separated), in document order.
     pub fn elements_by_class(&self, class: &str) -> Vec<NodeId> {
         self.descendants(self.root)
@@ -1048,31 +866,6 @@ mod tests {
         let mut v = vec![span, h4, span];
         doc.sort_document_order(&mut v);
         assert_eq!(v, vec![h4, span]);
-    }
-
-    #[test]
-    fn detached_subtree_order_is_structural_not_id_based() {
-        // Inside a detached subtree, children attached in reverse allocation
-        // order must still compare structurally (the (None, None) fallback),
-        // not by raw node id.
-        let mut doc = sample();
-        let d = doc.create_element("div", vec![]);
-        let first_alloc = doc.create_element("span", vec![]);
-        let second_alloc = doc.create_element("span", vec![]);
-        doc.append_child(d, second_alloc).unwrap();
-        doc.append_child(d, first_alloc).unwrap();
-        assert!(second_alloc > first_alloc);
-
-        assert_eq!(
-            doc.document_order(second_alloc, first_alloc),
-            std::cmp::Ordering::Less
-        );
-        let mut v = vec![first_alloc, second_alloc];
-        doc.sort_document_order(&mut v);
-        assert_eq!(v, vec![second_alloc, first_alloc]);
-        // The walking fallbacks of following/preceding sort structurally too.
-        assert_eq!(doc.following(second_alloc), vec![first_alloc]);
-        assert_eq!(doc.preceding(first_alloc), vec![second_alloc]);
     }
 
     #[test]

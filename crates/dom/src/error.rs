@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors raised while building, parsing or mutating documents.
+/// Errors raised while building or parsing documents.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DomError {
     /// The HTML/XML input could not be parsed.
@@ -12,15 +12,6 @@ pub enum DomError {
         /// Human readable description of the problem.
         message: String,
     },
-    /// A node id referred to a node that does not exist in this document.
-    InvalidNodeId(u32),
-    /// The requested operation is only valid on element nodes.
-    NotAnElement(u32),
-    /// The requested operation would detach or destroy the document root.
-    CannotModifyRoot,
-    /// A mutation would create a cycle (e.g. moving a node under one of its
-    /// own descendants).
-    WouldCreateCycle,
     /// The builder was asked to close an element but no element is open.
     BuilderUnderflow,
     /// The builder finished while elements were still open.
@@ -32,12 +23,6 @@ impl fmt::Display for DomError {
         match self {
             DomError::Parse { offset, message } => {
                 write!(f, "parse error at byte {offset}: {message}")
-            }
-            DomError::InvalidNodeId(id) => write!(f, "invalid node id {id}"),
-            DomError::NotAnElement(id) => write!(f, "node {id} is not an element"),
-            DomError::CannotModifyRoot => write!(f, "the document root cannot be modified"),
-            DomError::WouldCreateCycle => {
-                write!(f, "mutation would create a cycle in the tree")
             }
             DomError::BuilderUnderflow => {
                 write!(f, "close_element called with no element open")
@@ -66,7 +51,6 @@ mod tests {
         };
         assert!(e.to_string().contains("byte 12"));
         assert!(e.to_string().contains("unexpected"));
-        assert!(DomError::InvalidNodeId(3).to_string().contains('3'));
         assert!(DomError::BuilderUnclosed(2).to_string().contains('2'));
     }
 

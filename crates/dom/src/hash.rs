@@ -10,12 +10,12 @@
 //! # The hash index
 //!
 //! Subtree hashes are served by a lazily built per-document [`HashIndex`]:
-//! one bottom-up pass computes the hash of **every** subtree (each node's
-//! hash recombines its children's already-computed hashes), so after the
-//! first build a [`structural_hash`] call is a single array lookup.  The
-//! index participates in the same epoch contract as the order/tag indexes
-//! (see [`crate::order`]): any mutation drops it, and the next hash query
-//! rebuilds it.
+//! one reverse pass over the arena computes the hash of **every** subtree.
+//! Ids are pre-order ranks (see [`crate::order`]), so every child comes
+//! after its parent and each node's hash recombines children hashed
+//! earlier in the pass.  After the first build a [`structural_hash`] call
+//! is a single array lookup, and since a document is immutable once built
+//! the index never goes stale.
 //!
 //! Hashing goes through [`crate::fx`] (FxHash) and the interner: every
 //! interned string is hashed once per index build, and per-node hashing
@@ -23,14 +23,10 @@
 //! are document-local, so the per-symbol table hashes the *string
 //! contents* — equal subtrees of different documents (different interner
 //! numberings) still hash equal, which the robustness check relies on.
-//! Detached nodes (no pre-order position) fall back to a recursive walk
-//! built from the same combine functions, so attached and detached copies
-//! of one structure hash identically.
 
 use crate::document::Document;
 use crate::fx::FxHasher;
 use crate::node::{NodeData, NodeId};
-use crate::order::OrderIndex;
 use std::hash::Hasher;
 
 /// Hash of one string's contents (length-prefixed: `FxHasher::write`
@@ -54,9 +50,7 @@ fn text_hash(content: u64) -> u64 {
 }
 
 /// Combine function for an element node: tag, attribute pairs (order
-/// matters), then child subtree hashes (order matters).  Both the indexed
-/// build and the detached-node fallback must go through this function so
-/// the two paths agree bit-for-bit.
+/// matters), then child subtree hashes (order matters).
 fn element_hash<A, C>(tag: u64, attrs: A, children: C) -> u64
 where
     A: Iterator<Item = (u64, u64)>,
@@ -81,33 +75,31 @@ where
     h.finish()
 }
 
-/// Per-document structural-hash index: the hash of every subtree, by
-/// pre-order position.
+/// Per-document structural-hash index: the hash of every subtree, by node
+/// id.
 ///
-/// Built bottom-up in one pass over the reverse pre-order (children are
-/// numbered after their parent, so iterating positions high-to-low visits
-/// every child before the element that recombines it).  See the
-/// [module docs](self) for the cross-document and epoch contracts.
+/// Built bottom-up in one pass over the arena from the last id to the
+/// first (children follow their parent, so the pass visits every child
+/// before the element that recombines it).  See the [module docs](self)
+/// for the cross-document contract.
 #[derive(Debug, Clone)]
 pub struct HashIndex {
-    /// The document epoch this index was built at.
-    epoch: u64,
-    /// Subtree hash by pre-order position.
+    /// Subtree hash by node id.
     hashes: Vec<u64>,
     /// Number of element nodes in the tree (including the synthetic root).
     elements: usize,
 }
 
 impl HashIndex {
-    /// Builds the index for `doc` over its (already built) order index.
-    pub fn build(doc: &Document, order: &OrderIndex, epoch: u64) -> HashIndex {
+    /// Builds the index for `doc`.
+    pub fn build(doc: &Document) -> HashIndex {
         // One content hash per interned string; symbols index this table.
         let sym_hashes: Vec<u64> = doc.interner().strings().map(str_hash).collect();
-        let nodes = order.nodes_in_order();
-        let mut hashes = vec![0u64; nodes.len()];
+        let mut hashes = vec![0u64; doc.len()];
         let mut elements = 0usize;
-        for (pos, &id) in nodes.iter().enumerate().rev() {
-            hashes[pos] = match doc.data(id) {
+        for i in (0..hashes.len()).rev() {
+            let id = NodeId::from_index(i);
+            hashes[i] = match doc.data(id) {
                 NodeData::Text(t) => text_hash(str_hash(t)),
                 NodeData::Element { .. } => {
                     elements += 1;
@@ -120,50 +112,23 @@ impl HashIndex {
                         doc.attr_syms(id)
                             .iter()
                             .map(|&(n, v)| (sym_hashes[n.index()], sym_hashes[v.index()])),
-                        // Children are numbered after `pos` — already done.
-                        doc.children(id)
-                            .filter_map(|c| order.position(c).map(|p| hashes[p as usize])),
+                        // Children come after `id` — already hashed.
+                        doc.children(id).map(|c| hashes[c.index()]),
                     )
                 }
             };
         }
-        HashIndex {
-            epoch,
-            hashes,
-            elements,
-        }
+        HashIndex { hashes, elements }
     }
 
-    /// The document epoch this index was built at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The subtree hash of the node at pre-order position `pos`.
-    pub fn hash_at(&self, pos: usize) -> u64 {
-        self.hashes[pos]
+    /// The subtree hash of the node `id`.
+    pub fn hash(&self, id: NodeId) -> u64 {
+        self.hashes[id.index()]
     }
 
     /// Number of element nodes in the tree, including the synthetic root.
     pub fn element_count(&self) -> usize {
         self.elements
-    }
-}
-
-/// The recursive fallback for nodes outside the tree (detached subtrees
-/// have no pre-order position).  Hashes string payloads directly — by
-/// construction `str_hash(interner.resolve(sym))` equals the per-symbol
-/// table entry, so this agrees with the indexed build.
-pub(crate) fn hash_detached(doc: &Document, id: NodeId) -> u64 {
-    match doc.data(id) {
-        NodeData::Text(t) => text_hash(str_hash(t)),
-        NodeData::Element { tag, attributes } => element_hash(
-            str_hash(tag),
-            attributes
-                .iter()
-                .map(|a| (str_hash(&a.name), str_hash(&a.value))),
-            doc.children(id).map(|c| hash_detached(doc, c)),
-        ),
     }
 }
 
@@ -173,8 +138,8 @@ pub(crate) fn hash_detached(doc: &Document, id: NodeId) -> u64 {
 /// same names/values in the same order, same text, same child order) hash to
 /// the same value regardless of which document or arena slot they live in.
 ///
-/// Served by the per-document [`HashIndex`]: O(1) per call for nodes in the
-/// tree once the index is built (detached nodes hash recursively).
+/// Served by the per-document [`HashIndex`]: O(1) per call once the index
+/// is built.
 pub fn structural_hash(doc: &Document, id: NodeId) -> u64 {
     doc.subtree_hash(id)
 }
@@ -396,44 +361,38 @@ mod tests {
     #[test]
     fn fingerprint_changes_with_structure() {
         let a = tree_a();
-        let mut b = tree_a();
         let f1 = fingerprint(&a);
-        assert_eq!(f1, fingerprint(&b));
-        let span = b.elements_by_tag("span")[0];
-        b.set_attribute(span, "class", "new").unwrap();
+        assert_eq!(f1, fingerprint(&tree_a()));
+        let b = el("div")
+            .attr("class", "x")
+            .child(el("span").attr("class", "new").text_child("hello"))
+            .child(el("span").text_child("world"))
+            .into_document();
         assert_ne!(f1, fingerprint(&b));
     }
 
     #[test]
-    fn detached_subtree_hashes_like_attached_copy() {
-        // The recursive fallback and the indexed bottom-up build must agree
-        // bit-for-bit: build the same structure attached in one document and
-        // detached in another.
-        let attached = el("div")
+    fn equal_subtrees_hash_equal_within_and_across_pages() {
+        // Two copies of one structure in one parsed page, and a third in a
+        // page built another way: all three hash equal.
+        let copy = r#"<div class="x"><span>hello</span></div>"#;
+        let page = Document::parse(&format!("<body>{copy}<p>between</p>{copy}</body>")).unwrap();
+        let divs = page.elements_by_tag("div");
+        assert_eq!(divs.len(), 2);
+        assert_ne!(divs[0], divs[1]);
+        assert_eq!(
+            structural_hash(&page, divs[0]),
+            structural_hash(&page, divs[1])
+        );
+        assert!(subtree_equal(&page, divs[0], &page, divs[1]));
+
+        let built = el("div")
             .attr("class", "x")
             .child(el("span").text_child("hello"))
             .into_document();
-        let ra = attached.elements_by_tag("div")[0];
-
-        let mut other = Document::new();
-        let d = other.create_element(
-            "div",
-            vec![crate::node::Attribute {
-                name: "class".into(),
-                value: "x".into(),
-            }],
-        );
-        let s = other.create_element("span", vec![]);
-        let t = other.create_text("hello");
-        other.append_child(s, t).unwrap();
-        other.append_child(d, s).unwrap();
-        // `d` stays detached (never appended to the root).
-        assert_eq!(
-            other.order_index().position(d),
-            None,
-            "the copy is detached"
-        );
-        assert_eq!(structural_hash(&attached, ra), structural_hash(&other, d));
+        let d = built.elements_by_tag("div")[0];
+        assert_eq!(structural_hash(&page, divs[0]), structural_hash(&built, d));
+        assert!(subtree_equal(&page, divs[0], &built, d));
     }
 
     #[test]
@@ -462,21 +421,5 @@ mod tests {
         let sa = a.elements_by_tag("span")[0];
         let sb = b.elements_by_tag("span")[0];
         assert_eq!(structural_hash(&a, sa), structural_hash(&b, sb));
-    }
-
-    #[test]
-    fn hash_index_rebuilds_after_mutation() {
-        let mut doc = tree_a();
-        let div = doc.elements_by_tag("div")[0];
-        let before = doc.subtree_hash(div);
-        let epoch_before = doc.hash_index().epoch();
-        doc.set_attribute(div, "class", "y").unwrap();
-        let after = doc.subtree_hash(div);
-        assert_ne!(before, after, "mutation changes the subtree hash");
-        assert!(doc.hash_index().epoch() > epoch_before);
-        // Reverting the edit restores the original hash (pure function of
-        // structure, not of epochs).
-        doc.set_attribute(div, "class", "x").unwrap();
-        assert_eq!(doc.subtree_hash(div), before);
     }
 }

@@ -13,24 +13,22 @@
 //! — a needle that is *absent* from the interner cannot match any node, so
 //! the lookup miss is an instant "no match".
 //!
-//! # Ownership and invalidation contract
+//! # Ownership contract
 //!
-//! Unlike the order/tag indexes (see [`crate::order`]), the interner is
-//! **append-only and never invalidated**: a [`Sym`] handed out once stays
-//! valid for the lifetime of its document (and of clones of that document —
+//! Every node's symbols are interned when the node is appended, and a
+//! document is immutable once built (see [`crate::order`]), so the
+//! interner is complete when the document is: a [`Sym`] stays valid for
+//! the lifetime of its document (and of clones of that document —
 //! `Document::clone` clones the interner, so symbols keep resolving to the
-//! same strings in the clone).  Mutations only ever *add* strings; renaming
-//! an element or rewriting an attribute interns the new value and leaves the
-//! old symbol resolvable (queries may still carry it).  The epoch counter
-//! therefore does **not** apply to symbols.
+//! same strings in the clone).
 //!
 //! The one hard rule: **symbols are only meaningful relative to the document
 //! (family) that produced them.**  Two documents intern independently, so
-//! the same string maps to different symbols in each; transferring content
-//! between documents must go through the strings, which is exactly what
-//! [`Document::import_subtree`](crate::Document::import_subtree) does — the
-//! arena allocator re-interns every payload it admits, so there is no way to
-//! construct a live node whose symbols belong to a foreign interner.
+//! the same string maps to different symbols in each; content reaches a
+//! document only as strings (markup for the parser, names and values for
+//! the builders), and the append step interns every payload it admits, so
+//! there is no way to construct a node whose symbols belong to a foreign
+//! interner.
 //!
 //! # Storage
 //!

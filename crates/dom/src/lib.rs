@@ -6,28 +6,27 @@
 //! *Robust and Noise Resistant Wrapper Induction* relies on:
 //!
 //! * an **arena-based tree** of element and text nodes with attributes
-//!   ([`Document`], [`NodeId`]),
+//!   ([`Document`], [`NodeId`]), **immutable once built**: the parser, the
+//!   [`DocumentBuilder`] and [`TreeSpec`] append every node in document
+//!   order, so a node's id is its pre-order rank (see [`order`]); a new
+//!   page version is a new document,
 //! * O(1) structural navigation (parent, first/last child, previous/next
 //!   sibling) and iterator-based **axes** (ancestors, descendants, siblings,
 //!   following/preceding) used by the XPath evaluator,
-//! * a lazily built **document-order index** ([`order`]) — pre/post-order
-//!   numbering with epoch-based invalidation — that makes document-order
-//!   comparison, ancestor tests and the `following`/`preceding` axes O(1)
-//!   per node after one O(n) build; **read the [`order`] module docs before
-//!   adding mutation operations**,
+//! * lazily built **subtree-size and depth** numbering ([`order`]) that,
+//!   with ids in document order, makes document-order comparison, ancestor
+//!   tests and the `following`/`preceding` axes id arithmetic after one
+//!   O(n) build,
 //! * a per-document **string interner** ([`intern`]) — tag names, attribute
 //!   names and attribute values resolve to dense [`Sym`] handles so the
-//!   query evaluator's inner loops are integer compares; append-only, never
-//!   invalidated (see the [`intern`] module docs for the ownership
-//!   contract),
+//!   query evaluator's inner loops are integer compares (see the [`intern`]
+//!   module docs for the ownership contract),
 //! * the `text-value` / `normalize-space` semantics of XPath 1.0,
 //! * **structural subtree equality and hashing** (node-id free), which is the
 //!   basis of the paper's robustness definition ("there exists a bijection π
 //!   between q(D) and q(D') with D/v = D'/π(v)"),
 //! * a tolerant **HTML parser** and a **serializer** so documents can round
-//!   trip through markup,
-//! * in-place **mutation** primitives (insert, remove, rename, attribute
-//!   edits) used by the page-evolution simulator in `wi-webgen`.
+//!   trip through markup.
 //!
 //! The crate has no dependency on the rest of the workspace and can be used on
 //! its own as a tiny DOM library.
@@ -60,7 +59,6 @@ pub mod fx;
 pub mod hash;
 pub mod intern;
 pub mod iter;
-pub mod mutation;
 pub mod node;
 pub mod order;
 pub mod parser;

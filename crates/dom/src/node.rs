@@ -14,9 +14,8 @@ use std::fmt;
 /// Identifier of a node within a [`Document`](crate::Document) arena.
 ///
 /// `NodeId`s are only meaningful relative to the document that produced them.
-/// They are cheap to copy and hash, and are ordered by document (pre-)order of
-/// creation, which coincides with document order for parsed and built
-/// documents.
+/// They are cheap to copy and hash, and their order is document (pre-)order:
+/// every constructor appends nodes in document order (see [`crate::order`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NodeId(pub(crate) u32);
 
@@ -137,21 +136,17 @@ impl NodeData {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct Node {
     pub(crate) data: NodeData,
-    /// Interned tag name ([`Sym::UNSET`] for text nodes).  Kept in sync with
-    /// `data` by `Document::sync_syms`, which the arena allocator and every
-    /// payload-mutating operation call; see [`crate::intern`].
+    /// Interned tag name ([`Sym::UNSET`] for text nodes), derived from
+    /// `data` when the node is appended; see [`crate::intern`].
     pub(crate) tag_sym: Sym,
     /// Interned `(name, value)` of each attribute, parallel to
-    /// `data.attributes()`.  Same sync contract as `tag_sym`.
+    /// `data.attributes()`, derived the same way as `tag_sym`.
     pub(crate) attr_syms: Vec<(Sym, Sym)>,
     pub(crate) parent: Option<NodeId>,
     pub(crate) first_child: Option<NodeId>,
     pub(crate) last_child: Option<NodeId>,
     pub(crate) prev_sibling: Option<NodeId>,
     pub(crate) next_sibling: Option<NodeId>,
-    /// True once the node has been detached by a mutation; detached nodes are
-    /// skipped by iterators that walk the arena directly.
-    pub(crate) detached: bool,
 }
 
 impl Node {
@@ -165,7 +160,6 @@ impl Node {
             last_child: None,
             prev_sibling: None,
             next_sibling: None,
-            detached: false,
         }
     }
 }

@@ -1,191 +1,107 @@
 //! Lazily built document-order and tag indexes.
 //!
-//! # Why
+//! # Arena order is document order
 //!
-//! Wrapper induction evaluates thousands of candidate XPath queries per page,
-//! and every step of every evaluation sorts its node set into document order.
-//! The structural comparator (rebuilding two root paths per comparison) makes
-//! one sort O(n log n · depth) *with two heap allocations per comparison*.
-//! The [`OrderIndex`] replaces that with a single O(n) pre/post-order
-//! numbering pass, after which
+//! A [`Document`] is immutable once built.  Its only constructors —
+//! [`Document::new`], [`crate::DocumentBuilder`] (which the HTML parser
+//! drives) and [`crate::TreeSpec::into_document`] — append every node as
+//! the last child of a node on the open rightmost path.  So each node's
+//! arena slot is its pre-order rank: [`NodeId`] order *is* document order,
+//! and the subtree of `id` occupies the contiguous id range
+//! `id .. id + subtree_size(id)`.
 //!
-//! * [`Document::document_order`](crate::Document::document_order) is one
-//!   array lookup per node,
+//! Wrapper induction evaluates thousands of candidate XPath queries per
+//! page, and every step of every evaluation sorts its node set into
+//! document order, so this fact does the heavy lifting:
+//!
+//! * [`Document::document_order`](crate::Document::document_order) is an
+//!   id comparison, and sorting is `sort_unstable` on ids;
 //! * [`Document::is_ancestor_of`](crate::Document::is_ancestor_of) is the
-//!   classic interval containment test `pre[a] < pre[n] && post[n] < post[a]`,
-//! * the `following` / `preceding` axes become contiguous range scans over
-//!   the pre-order sequence instead of tree walks.
+//!   range test `a < n < a + size(a)`;
+//! * the `following` axis is the id range after the subtree, and
+//!   `preceding` is the ids before the node whose subtree ends at or
+//!   before it.
 //!
-//! The [`TagIndex`] additionally maps each tag name to its elements in
-//! document order, so `descendant::tag` steps binary-search a pre-order range
-//! instead of walking every subtree node.
+//! The [`OrderIndex`] therefore stores only what ids do not: each node's
+//! subtree size and depth, filled by one forward pass (depth: a parent
+//! always precedes its children) and one reverse pass (size: children
+//! always follow their parent).  The [`TagIndex`] maps each tag name to its
+//! elements in document order, so `descendant::tag` steps binary-search an
+//! id range instead of walking every subtree node.
 //!
-//! # Invalidation contract
-//!
-//! Both indexes are built on demand (first use after a structural change) and
-//! cached in the [`Document`] behind `OnceLock`s.  **Every mutating operation
-//! must call `Document::invalidate_indexes`**, which bumps the document's
-//! epoch counter and drops the cached indexes; they are rebuilt lazily on the
-//! next ordered query.  All mutation primitives in `mutation.rs` (and the
-//! arena allocator itself) already do this — if you add a new mutation
-//! operation, route it through the existing primitives or call
-//! `invalidate_indexes` yourself, otherwise ordered queries will silently use
-//! stale numbering.  The epoch is observable via
-//! [`Document::order_epoch`](crate::Document::order_epoch) and recorded in
-//! each built index ([`OrderIndex::epoch`]), which the property tests use to
-//! prove that a stale index is never served.
-//!
-//! Nodes that are not reachable from the document root (freshly created or
-//! detached nodes) are not part of the numbering; all index queries return
-//! `None` for them and the `Document` methods fall back to the structural
-//! walk.
+//! Both indexes are built on first use and cached in the [`Document`]
+//! behind `OnceLock`s; a built document never changes, so a built index is
+//! never stale.
 
 use crate::document::Document;
 use crate::intern::Sym;
 use crate::node::NodeId;
 use std::collections::HashMap;
 
-/// Sentinel pre/post number for arena slots not reachable from the root.
-const NOT_IN_TREE: u32 = u32::MAX;
-
-/// Per-arena-slot numbering computed by one DFS pass.
+/// Per-node numbering the ids do not carry.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    /// Pre-order (document-order) number, 0 for the root.
-    pre: u32,
-    /// Post-order number (assigned when the DFS leaves the node).
-    post: u32,
     /// Depth below the synthetic root (root itself has depth 0).
     depth: u32,
     /// Number of nodes in the subtree rooted here, including the node.
     size: u32,
 }
 
-impl Slot {
-    const DETACHED: Slot = Slot {
-        pre: NOT_IN_TREE,
-        post: NOT_IN_TREE,
-        depth: 0,
-        size: 0,
-    };
-}
-
-/// Pre/post-order numbering of all live nodes of a [`Document`].
+/// Subtree size and depth of every node of a [`Document`].
 ///
-/// Built in O(arena size) by [`Document::order_index`]; see the
-/// [module documentation](self) for the invalidation contract.
+/// Built in O(n) by [`Document::order_index`]; see the
+/// [module documentation](self) for why ids already give document order.
 #[derive(Debug, Clone)]
 pub struct OrderIndex {
-    epoch: u64,
     slots: Vec<Slot>,
-    /// All nodes reachable from the root, in document (pre-)order.
-    pre_order: Vec<NodeId>,
 }
 
 impl OrderIndex {
-    /// Numbers every node reachable from the root with one iterative DFS.
-    pub(crate) fn build(doc: &Document, epoch: u64) -> OrderIndex {
-        let mut slots = vec![Slot::DETACHED; doc.arena_len()];
-        let mut pre_order = Vec::with_capacity(doc.arena_len());
-        let mut pre = 0u32;
-        let mut post = 0u32;
-        // Event stack: `(node, entered)`.  Children are pushed in reverse so
-        // they pop in document order; no recursion, so arbitrarily deep
-        // documents cannot overflow the call stack.
-        let mut stack: Vec<(NodeId, bool)> = vec![(doc.root(), false)];
-        while let Some((id, entered)) = stack.pop() {
-            let i = id.index();
-            if entered {
-                slots[i].post = post;
-                post += 1;
-                slots[i].size = pre - slots[i].pre;
-                continue;
-            }
-            slots[i].pre = pre;
-            slots[i].depth = doc
-                .parent(id)
-                .map(|p| slots[p.index()].depth + 1)
-                .unwrap_or(0);
-            pre_order.push(id);
-            pre += 1;
-            stack.push((id, true));
-            let mut child = doc.last_child(id);
-            while let Some(c) = child {
-                stack.push((c, false));
-                child = doc.prev_sibling(c);
+    /// Fills depths front to back and sizes back to front over the arena.
+    pub(crate) fn build(doc: &Document) -> OrderIndex {
+        let mut slots = vec![Slot { depth: 0, size: 1 }; doc.len()];
+        for i in 1..slots.len() {
+            if let Some(p) = doc.parent(NodeId::from_index(i)) {
+                slots[i].depth = slots[p.index()].depth + 1;
             }
         }
-        OrderIndex {
-            epoch,
-            slots,
-            pre_order,
+        for i in (1..slots.len()).rev() {
+            if let Some(p) = doc.parent(NodeId::from_index(i)) {
+                slots[p.index()].size += slots[i].size;
+            }
         }
+        OrderIndex { slots }
     }
 
-    /// The document epoch this index was built at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Number of nodes covered by the index (all nodes reachable from the
-    /// root at build time).
+    /// Number of nodes covered by the index: every node of the document.
     pub fn len(&self) -> usize {
-        self.pre_order.len()
+        self.slots.len()
     }
 
     /// Returns `true` if the index covers no nodes (never the case for a
     /// well-formed document, which always has a root).
     pub fn is_empty(&self) -> bool {
-        self.pre_order.is_empty()
+        self.slots.is_empty()
     }
 
-    fn slot(&self, id: NodeId) -> Option<&Slot> {
-        self.slots.get(id.index()).filter(|s| s.pre != NOT_IN_TREE)
+    /// The depth of `id` below the root.
+    pub fn depth(&self, id: NodeId) -> u32 {
+        self.slots[id.index()].depth
     }
 
-    /// The document-order position of `id` (0 = root), or `None` if the node
-    /// was not reachable from the root when the index was built.
-    pub fn position(&self, id: NodeId) -> Option<u32> {
-        self.slot(id).map(|s| s.pre)
+    /// The subtree size of `id` (including `id`).
+    pub fn subtree_size(&self, id: NodeId) -> u32 {
+        self.slots[id.index()].size
     }
 
-    /// The depth of `id` below the root, or `None` if not in the tree.
-    pub fn depth(&self, id: NodeId) -> Option<u32> {
-        self.slot(id).map(|s| s.depth)
+    /// The ids of the subtree of `id`, `id` itself first, as an index range.
+    pub fn subtree_range(&self, id: NodeId) -> std::ops::Range<usize> {
+        id.index()..id.index() + self.slots[id.index()].size as usize
     }
 
-    /// The subtree size of `id` (including `id`), or `None` if not in the
-    /// tree.
-    pub fn subtree_size(&self, id: NodeId) -> Option<u32> {
-        self.slot(id).map(|s| s.size)
-    }
-
-    /// All indexed nodes in document order.
-    pub fn nodes_in_order(&self) -> &[NodeId] {
-        &self.pre_order
-    }
-
-    /// O(1) proper-ancestor test via interval containment, or `None` when
-    /// either node is outside the tree.
-    pub fn is_ancestor_of(&self, ancestor: NodeId, node: NodeId) -> Option<bool> {
-        let a = self.slot(ancestor)?;
-        let n = self.slot(node)?;
-        Some(a.pre < n.pre && n.post < a.post)
-    }
-
-    /// The pre-order positions occupied by the subtree of `id` as a range
-    /// into [`nodes_in_order`](Self::nodes_in_order) (the node itself is at
-    /// `range.start`).
-    pub fn subtree_range(&self, id: NodeId) -> Option<std::ops::Range<usize>> {
-        let s = self.slot(id)?;
-        let start = s.pre as usize;
-        Some(start..start + s.size as usize)
-    }
-
-    /// Post-order number of `id`, used by the `preceding` range scan to skip
-    /// ancestors in O(1) per candidate.
-    pub(crate) fn post(&self, id: NodeId) -> Option<u32> {
-        self.slot(id).map(|s| s.post)
+    /// O(1) proper-ancestor test: `node` lies inside `ancestor`'s id range.
+    pub fn is_ancestor_of(&self, ancestor: NodeId, node: NodeId) -> bool {
+        ancestor < node && self.subtree_range(ancestor).contains(&node.index())
     }
 }
 
@@ -193,41 +109,30 @@ impl OrderIndex {
 ///
 /// Keyed by interned tag [`Sym`]s (see [`crate::intern`]), so building it
 /// allocates no strings and a lookup by symbol is one integer-keyed hash
-/// probe.  Built lazily from the pre-order sequence of the [`OrderIndex`];
-/// shares the same epoch-based invalidation contract (see the
-/// [module documentation](self)).  Symbols themselves survive mutations —
-/// only the node lists are rebuilt.
+/// probe.  Built lazily by one pass over the arena, which is document
+/// order (see the [module documentation](self)).
 #[derive(Debug, Clone)]
 pub struct TagIndex {
-    epoch: u64,
     by_tag: HashMap<Sym, Vec<NodeId>>,
 }
 
 impl TagIndex {
-    pub(crate) fn build(doc: &Document, order: &OrderIndex) -> TagIndex {
+    pub(crate) fn build(doc: &Document) -> TagIndex {
         let mut by_tag: HashMap<Sym, Vec<NodeId>> = HashMap::new();
         // Skip the synthetic root: `elements_by_tag` has never reported it.
-        for &id in order.nodes_in_order().iter().skip(1) {
+        for id in (1..doc.len()).map(NodeId::from_index) {
             if let Some(sym) = doc.tag_sym(id) {
                 by_tag.entry(sym).or_default().push(id);
             }
         }
-        TagIndex {
-            epoch: order.epoch(),
-            by_tag,
-        }
-    }
-
-    /// The document epoch this index was built at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+        TagIndex { by_tag }
     }
 
     /// All elements with the given interned tag, in document order.
     ///
     /// The symbol must come from the document this index was built for
-    /// (see `wi_dom::intern` — symbols are per document family).  String
-    /// lookups go through
+    /// (see `wi_dom::intern` — symbols are per document).  String lookups
+    /// go through
     /// [`Document::elements_by_tag_slice`](crate::Document::elements_by_tag_slice),
     /// which guarantees that pairing; `TagIndex` deliberately offers no
     /// `&str` entry point that could be fed a foreign document's interner.
@@ -261,9 +166,11 @@ mod tests {
         let doc = sample();
         let idx = doc.order_index();
         let walked: Vec<_> = doc.descendants_or_self(doc.root()).collect();
-        assert_eq!(idx.nodes_in_order(), &walked[..]);
+        assert_eq!(idx.len(), walked.len());
         for (i, &n) in walked.iter().enumerate() {
-            assert_eq!(idx.position(n), Some(i as u32));
+            assert_eq!(n.index(), i);
+            let range: Vec<usize> = doc.descendants_or_self(n).map(|d| d.index()).collect();
+            assert_eq!(range, idx.subtree_range(n).collect::<Vec<_>>());
         }
     }
 
@@ -273,33 +180,21 @@ mod tests {
         let idx = doc.order_index();
         let body = doc.elements_by_tag("body")[0];
         let span = doc.elements_by_tag("span")[0];
-        assert_eq!(idx.is_ancestor_of(body, span), Some(true));
-        assert_eq!(idx.is_ancestor_of(span, body), Some(false));
-        assert_eq!(idx.is_ancestor_of(span, span), Some(false));
-        assert_eq!(idx.is_ancestor_of(doc.root(), span), Some(true));
+        assert!(idx.is_ancestor_of(body, span));
+        assert!(!idx.is_ancestor_of(span, body));
+        assert!(!idx.is_ancestor_of(span, span));
+        assert!(idx.is_ancestor_of(doc.root(), span));
     }
 
     #[test]
     fn depths_and_sizes() {
         let doc = sample();
         let idx = doc.order_index();
-        assert_eq!(idx.depth(doc.root()), Some(0));
+        assert_eq!(idx.depth(doc.root()), 0);
         let span = doc.elements_by_tag("span")[0];
-        assert_eq!(idx.depth(span), Some(4));
-        assert_eq!(idx.subtree_size(span), Some(2)); // span + text
-        assert_eq!(idx.subtree_size(doc.root()), Some(doc.len() as u32));
-    }
-
-    #[test]
-    fn detached_nodes_are_not_indexed() {
-        let mut doc = sample();
-        let div = doc.elements_by_tag("div")[0];
-        doc.detach(div).unwrap();
-        let idx = doc.order_index();
-        assert_eq!(idx.position(div), None);
-        assert_eq!(idx.is_ancestor_of(doc.root(), div), None);
-        let fresh = doc.create_element("p", vec![]);
-        assert_eq!(doc.order_index().position(fresh), None);
+        assert_eq!(idx.depth(span), 4);
+        assert_eq!(idx.subtree_size(span), 2); // span + text
+        assert_eq!(idx.subtree_size(doc.root()), doc.len() as u32);
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //! the interned attribute symbols, followed by the interner's strings in
 //! symbol order.  A parser change that keeps every query answer but
 //! reorders the arena, the attributes or the symbol numbering still fails
-//! here.  The epoch is left out: it counts internal steps, not content.
+//! here.
+//!
+//! `arena_order_is_document_order` pins the invariant the order index is
+//! built on: over this corpus and the hostile-HTML shapes, arena slot `i`
+//! is the `i`-th node in document order.
 //!
 //! On a mismatch the test writes the rendered corpus next to the build
 //! artifacts (the path is in the panic message); review the difference and
@@ -134,7 +138,7 @@ fn link(id: Option<NodeId>) -> String {
 fn dump(doc: &Document) -> String {
     let mut out = String::new();
     let mut strings: BTreeMap<usize, &str> = BTreeMap::new();
-    for index in 0..doc.arena_len() {
+    for index in 0..doc.len() {
         let id = NodeId::from_index(index);
         match doc.data(id) {
             NodeData::Element { tag, attributes } => {
@@ -225,5 +229,54 @@ fn parse_corpus_matches_the_golden_dump() {
             fixture.display(),
             written.display()
         );
+    }
+}
+
+/// The shapes of `hostile_html.rs`, each cut to about 20 KB.
+fn hostile_shapes() -> Vec<(&'static str, String)> {
+    const BODY: usize = 20 * 1024;
+    let fill = |unit: &str| unit.repeat(BODY / unit.len());
+    let mut stray = String::from("<b></b>");
+    stray.push_str(&"<i>".repeat(BODY / 2 / 3));
+    stray.push_str(&"</b>".repeat(BODY / 2 / 4));
+    let mut attrs = String::from("<x-y");
+    for i in 0..BODY / 6 {
+        attrs.push_str(&format!(" a{i}"));
+    }
+    attrs.push('>');
+    vec![
+        ("deeply nested divs", fill("<div>")),
+        ("script runs", fill("<script>x</script>")),
+        ("upper-case style runs", fill("<STYLE>a{}</STYLE>")),
+        ("stray end tags over a deep stack", stray),
+        ("one tag, many attributes", attrs),
+        (
+            "entity flood",
+            format!("<p>{}</p>", fill("&amp;&lt;&#65;&#x42;&nbsp;&bogus;")),
+        ),
+        (
+            "tag soup",
+            fill("<p><li>a<td>b</p><table><tr><td>c</li><ul>"),
+        ),
+    ]
+}
+
+#[test]
+fn arena_order_is_document_order() {
+    let corpus = corpus()
+        .into_iter()
+        .map(|(name, options, input)| (name, options, input.to_string()));
+    let hostile = hostile_shapes()
+        .into_iter()
+        .map(|(name, input)| (name, ParseOptions::default(), input));
+    for (name, options, input) in corpus.chain(hostile) {
+        let doc = parse_html_with(&input, options).expect("the parser never rejects tag soup");
+        assert_eq!(doc.order_index().len(), doc.len(), "{name}: index coverage");
+        let mut count = 0;
+        for (rank, id) in doc.descendants_or_self(doc.root()).enumerate() {
+            assert_eq!(id, NodeId::from_index(rank), "{name}: slot {rank}");
+            count += 1;
+        }
+        assert_eq!(count, doc.len(), "{name}: every slot is in the tree");
     }
 }

@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 /// One finding.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule id (`R1`..`R6`, or `PRAGMA` for malformed pragmas).
+    /// Rule id (`R2`..`R9`, or `PRAGMA` for malformed pragmas).
     pub rule: &'static str,
     /// Workspace-relative path, `/`-separated.
     pub file: String,

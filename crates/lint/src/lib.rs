@@ -14,8 +14,7 @@
 //!
 //! | Rule | Contract | Introduced |
 //! |------|----------|------------|
-//! | R1 | **Epoch-bump**: every public mutating fn on `Document` (in `wi-dom`'s `mutation.rs`/`document.rs`) must reach `invalidate_indexes()`; sym-payload writers must also reach `sync_syms()`. See the epoch discussion in `crates/dom/src/order.rs` module docs. | PR 2 (order index), PR 4 (sym mirror) |
-//! | R2 | **Interner ownership**: no fn takes `Sym` params alongside more than one `Document` source, and dom import paths (`&mut self` + foreign `Document`) must re-intern via `alloc`/`intern`/`sync_syms`. See `crates/dom/src/intern.rs` module docs. | PR 4 |
+//! | R2 | **Interner ownership**: no fn takes `Sym` params alongside more than one `Document` source. See `crates/dom/src/intern.rs` module docs. | PR 4 |
 //! | R3 | **Pooled contexts**: bare `evaluate(` (one fresh `EvalContext` per call) is forbidden outside `crates/xpath/src/` and allowlisted cold paths; hot paths use `evaluate_with`/`extract_with`. | PR 2, hot since PR 4 |
 //! | R4 | **Panic-free serve paths**: `unwrap`/`expect`/`panic!`-family/slice-indexing are denied in the transitive call graph of the `wi-serve` request roots (`handle`, `handle_connection`, `worker_loop`), non-test code. | PR 6 |
 //! | R5 | **No lock across I/O**: a registry `RwLock` guard may not be live across a blocking socket call (`write_all`, `flush`, …) within a function body. | PR 6 |
@@ -62,10 +61,6 @@ use syntax::SourceFile;
 /// fixture tests override individual fields to point rules at themselves.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
-    /// R1: path suffixes of the dom mutation surface.
-    pub r1_files: Vec<String>,
-    /// R1: primitive fns exempt from the epoch requirement.
-    pub r1_exempt: Vec<String>,
     /// R2: path prefix of the dom crate (receiver counts as a Document
     /// source there).
     pub r2_dom_prefix: String,
@@ -114,8 +109,6 @@ impl Default for LintConfig {
     fn default() -> LintConfig {
         let s = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
         LintConfig {
-            r1_files: s(&["crates/dom/src/mutation.rs", "crates/dom/src/document.rs"]),
-            r1_exempt: s(&["invalidate_indexes", "sync_syms", "node_mut"]),
             r2_dom_prefix: "crates/dom/".into(),
             r3_allow_prefixes: s(&["crates/xpath/src/"]),
             r3_allow_files: s(&[]),
@@ -189,7 +182,6 @@ pub fn run_with_config(root: &Path, cfg: &LintConfig) -> io::Result<LintReport> 
 /// suppression.  Exposed for the fixture battery.
 pub fn lint_files(files: &[SourceFile], cfg: &LintConfig) -> Vec<Diagnostic> {
     let mut raw: Vec<Diagnostic> = Vec::new();
-    rules::r1_epoch::check(files, cfg, &mut raw);
     rules::r2_interner::check(files, cfg, &mut raw);
     rules::r3_context::check(files, cfg, &mut raw);
     rules::r4_panic::check(files, cfg, &mut raw);

@@ -37,7 +37,12 @@ fn main() -> ExitCode {
                   \x20               [workspace] Cargo.toml)\n\
                      --json        machine-readable diagnostics\n\
                      --deny-all    also fail on lint:allow pragmas that suppress nothing\n\n\
-                     Rules R1-R6 are documented in crates/lint/src/lib.rs and the\n\
+                     RULES\n\
+                     R2  interner ownership        R3  pooled eval contexts\n\
+                     R4  panic-free serve paths    R5  no registry lock across I/O\n\
+                     R6  forbidden drift           R7  endpoint observability\n\
+                     R9  registry durability pairing\n\n\
+                     Each rule is documented in crates/lint/src/lib.rs and the\n\
                      README section \"Enforced invariants\"."
                 );
                 return ExitCode::SUCCESS;

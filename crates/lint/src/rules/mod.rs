@@ -1,10 +1,9 @@
-//! The invariant rules (R1–R7, R9) and the call-graph machinery they share.
+//! The invariant rules (R2–R7, R9) and the call-graph machinery R4 uses.
 //!
 //! Each rule is a pure function from loaded [`SourceFile`]s to
 //! diagnostics; pragma suppression happens centrally in
 //! [`crate::lint_files`].
 
-pub mod r1_epoch;
 pub mod r2_interner;
 pub mod r3_context;
 pub mod r4_panic;
@@ -20,8 +19,7 @@ use std::collections::{HashMap, HashSet};
 /// A function located in a file group: `(file index, function index)`.
 pub type FnId = (usize, usize);
 
-/// Name-based call graph over a group of files (one crate, or the joint
-/// R1 file pair).  Calls are resolved by name plus call shape (see
+/// Name-based call graph over a group of files (one crate).  Calls are resolved by name plus call shape (see
 /// `CallGraph::binds`): method calls bind to `self` functions,
 /// `Type::f` calls bind inside `impl Type`, bare calls bind to free
 /// functions.  Within a shape the match is name-only — an
@@ -92,51 +90,6 @@ impl<'a> CallGraph<'a> {
             }
             _ => !callee.has_self && callee.impl_type.is_none(),
         }
-    }
-
-    /// Names of functions that transitively reach a call to any name in
-    /// `targets` (backward closure).  A function whose body directly calls
-    /// a target name is included even if no local function defines it
-    /// (the target may be a primitive like `invalidate_indexes`).
-    pub fn reaching(&self, targets: &[&str]) -> HashSet<String> {
-        let target_set: HashSet<&str> = targets.iter().copied().collect();
-        let mut reach: Vec<bool> = vec![false; self.fns.len()];
-        // Seed: direct callers of a target name.
-        for (i, callees) in self.callees.iter().enumerate() {
-            if callees
-                .iter()
-                .any(|(c, _, _)| target_set.contains(c.as_str()))
-            {
-                reach[i] = true;
-            }
-        }
-        // Fixpoint: calling a reaching local function is reaching.
-        loop {
-            let mut changed = false;
-            for i in 0..self.fns.len() {
-                if reach[i] {
-                    continue;
-                }
-                let hits = self.callees[i].iter().any(|(c, m, h)| {
-                    self.by_name
-                        .get(c.as_str())
-                        .is_some_and(|ids| ids.iter().any(|&j| reach[j] && self.binds(i, *m, h, j)))
-                });
-                if hits {
-                    reach[i] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| reach[*i])
-            .map(|(_, (_, f))| f.name.clone())
-            .collect()
     }
 
     /// Functions reachable *from* the named roots (forward closure),

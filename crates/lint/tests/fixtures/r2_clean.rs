@@ -1,5 +1,5 @@
-//! R2 clean twin: strings cross the document boundary, and the import path
-//! re-interns every copied payload into the destination interner.
+//! R2 clean twin: strings cross the document boundary, and a dom method
+//! that takes a Sym reads only its own document.
 
 pub struct Document;
 pub struct Sym(pub u32);
@@ -10,12 +10,7 @@ pub fn copy_label(dst: &mut Document, src: &Document, label: &str) -> u32 {
 }
 
 impl Document {
-    fn intern(&mut self, s: &str) -> Sym {
-        Sym(s.len() as u32)
-    }
-
-    pub fn import_subtree(&mut self, other: &Document) {
-        let _ = other;
-        let _ = self.intern("div");
+    pub fn label_of(&self, label: Sym) -> u32 {
+        label.0
     }
 }

@@ -1,5 +1,5 @@
-//! R2 fixture: Sym parameters with ambiguous owners, and an import path
-//! that never re-interns.  Linted as if it were `crates/dom/src/merge.rs`.
+//! R2 fixture: Sym parameters with ambiguous owners.  Linted as if it were
+//! `crates/dom/src/merge.rs`.
 
 pub struct Document;
 pub struct Sym(pub u32);
@@ -10,7 +10,8 @@ pub fn copy_label(dst: &mut Document, src: &Document, label: Sym) -> u32 { //~ R
 }
 
 impl Document {
-    pub fn import_subtree(&mut self, other: &Document) { //~ R2
+    pub fn label_of(&self, other: &Document, label: Sym) -> u32 { //~ R2
         let _ = other;
+        label.0
     }
 }

@@ -60,16 +60,6 @@ fn strict() -> LintConfig {
 }
 
 #[test]
-fn r1_epoch_bump_fires_and_clean_twin_passes() {
-    let rel = "crates/dom/src/mutation.rs";
-    assert_eq!(
-        lint("r1_violate.rs", rel, &LintConfig::default()),
-        markers("r1_violate.rs")
-    );
-    assert_eq!(lint("r1_clean.rs", rel, &strict()), vec![]);
-}
-
-#[test]
 fn r2_interner_ownership_fires_and_clean_twin_passes() {
     let rel = "crates/dom/src/merge.rs";
     assert_eq!(

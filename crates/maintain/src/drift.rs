@@ -11,7 +11,7 @@
 //!   neighborhood search: `div[@class="gone"]` relaxes to the `div`s of the
 //!   subtree, served by the document's tag index),
 //! * **re-validation** — substituting each candidate's attribute value (or
-//!   sibling position, read off the pre/post-order document index) back into
+//!   sibling position, read off the document-order index) back into
 //!   the expression and accepting the substitution only if the *whole*
 //!   expression then extracts a result whose cardinality is consistent with
 //!   the last-known-good state.

@@ -7,9 +7,10 @@
 //! comparison instead of a verification:
 //!
 //! * **Epoch echo** — the last healthy epoch's content fingerprint, bundle
-//!   revision, non-severe anchor signals and extraction (as pre-order
-//!   positions).  An identical snapshot under the same revision replays
-//!   that verdict (see [`IncrementalState::verify`]).
+//!   revision, non-severe anchor signals and extraction.  Node ids are
+//!   document-order ranks, so a structurally identical snapshot holds the
+//!   same nodes at the same ids.  An identical snapshot under the same
+//!   revision replays that verdict (see [`IncrementalState::verify`]).
 //! * **Last-known-good origin** — the `(content fingerprint, revision)` the
 //!   live last-known-good state was captured from.  A healthy snapshot that
 //!   matches it rolls the state forward with
@@ -47,8 +48,9 @@ struct EpochEcho {
     /// Its non-severe anchor signals (a pure function of document content
     /// and bundle entries, so they recur verbatim on an identical snapshot).
     anchor_missing: Vec<HealthSignal>,
-    /// Its extraction as pre-order positions.
-    extracted: Vec<u32>,
+    /// Its extraction; node ids are document-order ranks, so they name the
+    /// same nodes in any snapshot with this fingerprint.
+    extracted: Vec<NodeId>,
 }
 
 /// Cross-epoch state owned by one maintenance run.
@@ -114,14 +116,13 @@ impl IncrementalState {
                 .as_ref()
                 .filter(|e| e.doc_fp == doc_fp && e.revision == bundle.revision)
             {
-                let nodes = doc.order_index().nodes_in_order();
-                if echo.extracted.iter().all(|&p| (p as usize) < nodes.len()) {
+                if echo.extracted.iter().all(|&n| doc.contains(n)) {
                     self.stats.hits += 1;
                     let mut signals = vec![HealthSignal::TextDivergence { similarity: 1.0 }];
                     signals.extend(echo.anchor_missing.iter().cloned());
                     return HealthReport {
                         day,
-                        extracted: echo.extracted.iter().map(|&p| nodes[p as usize]).collect(),
+                        extracted: echo.extracted.clone(),
                         signals,
                     };
                 }
@@ -149,18 +150,8 @@ impl IncrementalState {
     /// Records a healthy epoch's residue for the identical-snapshot replay.
     /// Call only with a healthy report, after the loop refreshed (or
     /// identically advanced) its last-known-good state from this snapshot.
-    pub(crate) fn record_echo(
-        &mut self,
-        doc_fp: u64,
-        revision: u32,
-        report: &HealthReport,
-        doc: &Document,
-    ) {
+    pub(crate) fn record_echo(&mut self, doc_fp: u64, revision: u32, report: &HealthReport) {
         debug_assert!(report.healthy());
-        let Some(extracted) = positions_of(doc, &report.extracted) else {
-            self.echo = None;
-            return;
-        };
         self.echo = Some(EpochEcho {
             doc_fp,
             revision,
@@ -170,7 +161,7 @@ impl IncrementalState {
                 .filter(|s| matches!(s, HealthSignal::AnchorMissing { .. }))
                 .cloned()
                 .collect(),
-            extracted,
+            extracted: report.extracted.clone(),
         });
     }
 
@@ -178,11 +169,4 @@ impl IncrementalState {
     pub(crate) fn take_stats(&mut self) -> IncStats {
         std::mem::take(&mut self.stats)
     }
-}
-
-/// Maps extracted nodes to pre-order positions; `None` if any node is
-/// detached (an echo that cannot be rematerialized is not recorded).
-fn positions_of(doc: &Document, nodes: &[NodeId]) -> Option<Vec<u32>> {
-    let order = doc.order_index();
-    nodes.iter().map(|&n| order.position(n)).collect()
 }

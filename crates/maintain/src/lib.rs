@@ -17,7 +17,7 @@
 //!    failing step against the evolved DOM*: the first empty step of the
 //!    expression is found by prefix evaluation, its anchor predicate is
 //!    relaxed, and the surviving candidate neighborhood (via the tag index
-//!    and the pre/post-order document index) proposes a re-anchoring that is
+//!    and the document-order index) proposes a re-anchoring that is
 //!    validated against the rest of the expression.
 //! 3. **Repair** ([`Repairer`]) — re-anchor renamed attribute values in
 //!    place when the classifier found a consistent substitution, otherwise

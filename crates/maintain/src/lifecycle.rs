@@ -289,7 +289,7 @@ impl Maintainer {
                     })
                 };
                 if let (Some(state), Some(fp)) = (inc.as_mut(), doc_fp) {
-                    state.record_echo(fp, bundle.revision, &health, &page.doc);
+                    state.record_echo(fp, bundle.revision, &health);
                 }
                 state = WrapperState::Monitoring;
                 consecutive_target_gone = 0;

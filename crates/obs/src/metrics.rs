@@ -208,7 +208,7 @@ impl Registry {
     }
 
     /// Get-or-create the cells of one series.  A name reused with a
-    /// different kind gets detached cells (recorded but never rendered)
+    /// different kind gets cells of its own (recorded but never rendered)
     /// rather than a panic — the registry sits on request paths.
     fn series(
         &self,
@@ -463,7 +463,10 @@ mod tests {
         c.inc();
         g.set(99);
         assert_eq!(c.get(), 1, "original series untouched");
-        assert!(!reg.render().contains("99"), "detached cells never render");
+        assert!(
+            !reg.render().contains("99"),
+            "the mismatched cells never render"
+        );
     }
 
     #[test]

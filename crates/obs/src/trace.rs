@@ -200,13 +200,26 @@ fn emit(
         fields: fields.to_vec(),
     };
     if kind == RecordKind::Span && dur_us >= SLOW_THRESHOLD_US.load(Ordering::Relaxed) {
-        if let Ok(mut slow) = SLOW.lock() {
-            slow.push(record.clone());
-            slow.sort_by(|a, b| b.dur_us.cmp(&a.dur_us).then(a.seq.cmp(&b.seq)));
-            slow.truncate(SLOW_CAPACITY);
-        }
+        record_slow(&record);
     }
     JOURNAL.push(record);
+}
+
+/// Offers a span to the slow log, which stays sorted slowest first (ties
+/// by emission order) and holds at most [`SLOW_CAPACITY`] records.  A span
+/// that would land past the end of a full log returns before cloning.
+fn record_slow(record: &Record) {
+    let Ok(mut slow) = SLOW.lock() else {
+        return;
+    };
+    let ahead =
+        |r: &Record| r.dur_us > record.dur_us || (r.dur_us == record.dur_us && r.seq < record.seq);
+    let at = slow.partition_point(ahead);
+    if at >= SLOW_CAPACITY {
+        return;
+    }
+    slow.insert(at, record.clone());
+    slow.truncate(SLOW_CAPACITY);
 }
 
 /// An RAII span: created by [`span`], emits a [`RecordKind::Span`] record
@@ -421,6 +434,36 @@ mod tests {
             "any span clears a zero threshold"
         );
         assert!(slow_ndjson().contains("\"name\":\"trace.test.slow\""));
+    }
+
+    #[test]
+    fn slow_log_keeps_the_k_slowest_in_order() {
+        let _mode = mode_lock();
+        clear();
+        set_mode(Mode::On);
+        let now = Instant::now();
+        for ms in 1..=40u64 {
+            let started = now - std::time::Duration::from_millis(ms);
+            record_span("trace.test.top_k", started, &[("ms", ms)]);
+        }
+        let ms_of =
+            |records: Vec<Record>| -> Vec<u64> { records.iter().map(|r| r.fields[0].1).collect() };
+        let top = ms_of(slow_top());
+        assert_eq!(top, (9..=40).rev().collect::<Vec<u64>>());
+        record_span(
+            "trace.test.top_k",
+            now - std::time::Duration::from_millis(1),
+            &[("ms", 1)],
+        );
+        set_mode(Mode::Off);
+        assert_eq!(
+            ms_of(slow_top()),
+            top,
+            "a 1 ms span does not displace the 32 slowest"
+        );
+        // Leave an empty log: a full one would keep out the zero-length
+        // spans other tests offer.
+        clear();
     }
 
     #[test]

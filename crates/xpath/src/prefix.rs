@@ -22,9 +22,9 @@
 //!
 //! # Ownership contract
 //!
-//! The evaluator borrows its document for its whole lifetime, which makes
-//! stale memoization impossible by construction: the borrow prevents any
-//! mutation (`&mut Document`) while memoized node sets are alive.  Create
+//! The evaluator borrows its document for its whole lifetime, and a
+//! document is immutable once built, so a memoized node set can never go
+//! stale.  Create
 //! one evaluator per document (per worker) and drop it when moving on; the
 //! trie grows monotonically with the number of *distinct* step prefixes
 //! seen, which induction bounds by its candidate pool.
