@@ -167,7 +167,7 @@ impl WeirInducer {
             for d in doc.descendants(ancestor) {
                 if d != page.target
                     && doc.is_element(d)
-                    && static_texts.contains(&doc.normalized_text(d))
+                    && static_texts.contains(doc.normalized_str(d))
                 {
                     anchor_pool.push(d);
                 }
@@ -299,7 +299,7 @@ mod tests {
         doc.descendants(doc.root())
             .find(|&n| {
                 doc.is_element(n)
-                    && doc.normalized_text(n) == value
+                    && doc.normalized_str(n) == value
                     && doc.tag_name(n) == Some("span")
             })
             .unwrap()

@@ -123,7 +123,7 @@ fn bench_following_axis(c: &mut Criterion) {
         b.iter(|| {
             probes
                 .iter()
-                .map(|&n| doc.following(n).len())
+                .map(|&n| doc.following(n).count())
                 .sum::<usize>()
         })
     });

@@ -8,7 +8,11 @@
 //! interner's strings in symbol order, so a parser change that keeps the
 //! tree but renumbers nodes or symbols changes it.  `crates/dom/tests/
 //! parse_golden.rs` is the readable counterpart on hand-written tag soup.
+//!
+//! The same pages, as rendered and as parsed back, also pin the text index:
+//! `normalize-space` of every node equals the subtree-walking oracle.
 
+use wi_dom::document::normalize_space;
 use wi_dom::{parse_html, to_html, Document, NodeData, NodeId, Sym};
 use wi_webgen::archive::ArchiveSimulator;
 use wi_webgen::date::Day;
@@ -98,19 +102,25 @@ fn digest_document(doc: &Document, d: &mut Digest) {
     }
 }
 
-/// The pages: detail and listing pages of one site per vertical, across a
-/// timeline long enough to cross template changes and broken snapshots.
-fn pages() -> Vec<String> {
-    let mut pages = Vec::new();
+/// The rendered pages: detail and listing pages of one site per vertical,
+/// across a timeline long enough to cross template changes and broken
+/// snapshots.
+fn rendered() -> Vec<Document> {
+    let mut docs = Vec::new();
     for (index, &vertical) in Vertical::ALL.iter().enumerate() {
         for kind in [PageKind::Detail, PageKind::Listing] {
             let archive = ArchiveSimulator::new(Site::new(vertical, index as u64 * 7), 0, kind);
             for t in 0..6 {
-                pages.push(to_html(&archive.snapshot(Day(t * 120)).doc));
+                docs.push(archive.snapshot(Day(t * 120)).doc);
             }
         }
     }
-    pages
+    docs
+}
+
+/// The [`rendered`] pages serialized to HTML.
+fn pages() -> Vec<String> {
+    rendered().iter().map(to_html).collect()
 }
 
 /// Recorded with the parser as of the change that introduced this test.
@@ -132,4 +142,22 @@ fn rendered_webgen_pages_parse_to_the_recorded_arenas() {
         pages.len(),
         d.0
     );
+}
+
+#[test]
+fn text_index_matches_the_oracle_on_webgen_pages() {
+    let docs = rendered();
+    assert_eq!(docs.len(), 144);
+    for (page, doc) in docs.iter().enumerate() {
+        let parsed = parse_html(&to_html(doc)).expect("rendered pages parse");
+        for doc in [doc, &parsed] {
+            for id in (0..doc.len()).map(NodeId::from_index) {
+                assert_eq!(
+                    doc.normalized_str(id),
+                    normalize_space(&doc.text_value(id)),
+                    "page {page}: {id:?}"
+                );
+            }
+        }
+    }
 }

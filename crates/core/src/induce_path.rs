@@ -13,13 +13,14 @@ use crate::config::InductionConfig;
 use crate::sample::counts_against;
 use crate::spine::{spine, transitive_reach};
 use crate::step_pattern::{
-    assemble_candidates, generate_parts, is_direct, select_candidates, GeneratedParts,
+    assemble_candidates, generate_parts, is_direct, select_candidates, Candidate, GeneratedParts,
+    ScoredPattern,
 };
 use std::rc::Rc;
 use wi_dom::fx::FxMap;
 use wi_dom::{Document, NodeId};
 use wi_scoring::{score_query_partial, QueryInstance};
-use wi_xpath::{Axis, PrefixEvaluator, Query};
+use wi_xpath::{Axis, PrefixEvaluator};
 
 /// The DP state of Algorithm 2: per-node best-K tables and per-node relevant
 /// target sets.
@@ -125,11 +126,15 @@ pub fn induce_path(
 ///
 /// * candidate **generation** is cached per `(target, direct)` — it does not
 ///   depend on the context node (see
-///   [`generate_candidates`](crate::step_pattern)),
+///   [`generate_candidates`](crate::step_pattern)) — and so is each
+///   generated candidate's **render**, its hash and its robustness
+///   **score**: selection from every context reuses them, and only the
+///   context-dependent positional refinements are rendered and scored per
+///   context,
 /// * each pattern's node set and robustness-score prefix are derived **once
-///   per pattern** (a [`PrefixHandle`](wi_xpath::PrefixHandle) into the candidate trie plus a
-///   plus-compositional prefix sum); every instance extends both by its own
-///   — usually empty — suffix,
+///   per pattern** (a [`PrefixHandle`](wi_xpath::PrefixHandle) into the
+///   candidate trie plus the pattern's score from selection); every
+///   instance extends both by its own — usually empty — suffix,
 /// * the optimistic admission pre-check ranks the combination from those
 ///   parts alone: a rejected combination is never concatenated, rendered,
 ///   or evaluated,
@@ -148,9 +153,9 @@ pub fn induce_path_with(
     // Selected step patterns per (n, t) pair — identical pairs recur when
     // several targets share a spine prefix — and generated (pre-selection)
     // candidates per (t, direct), which do not depend on n at all.
-    let mut pattern_cache: FxMap<(NodeId, NodeId), Rc<Vec<Query>>> = FxMap::default();
+    let mut pattern_cache: FxMap<(NodeId, NodeId), Rc<Vec<ScoredPattern>>> = FxMap::default();
     let mut parts_cache: FxMap<NodeId, Rc<GeneratedParts>> = FxMap::default();
-    let mut generation_cache: FxMap<(NodeId, bool), Rc<Vec<Query>>> = FxMap::default();
+    let mut generation_cache: FxMap<(NodeId, bool), Rc<Vec<Candidate>>> = FxMap::default();
     // spine(u, t) recurs for every target sharing the anchor t.
     let mut spine_cache: FxMap<NodeId, Option<Rc<Vec<NodeId>>>> = FxMap::default();
     // F0.5 of the optimistic counts ⟨1, 0, 0⟩ used by the admission
@@ -214,7 +219,12 @@ pub fn induce_path_with(
                                         p
                                     }
                                 };
-                                let g = Rc::new(assemble_candidates(&parts, axis, direct));
+                                let g = Rc::new(assemble_candidates(
+                                    &parts,
+                                    axis,
+                                    direct,
+                                    &config.params,
+                                ));
                                 generated_candidates += g.len() as u64;
                                 generation_cache.insert((t, direct), Rc::clone(&g));
                                 g
@@ -226,14 +236,14 @@ pub fn induce_path_with(
                     }
                 };
                 let entry = best.entry(n).or_insert_with(|| BestK::new(config.k));
-                for p in patterns.iter() {
-                    // Derived once per pattern, shared by every instance
-                    // extending it: the memoized node set and the
-                    // plus-compositional score prefix.  (The walk is a memo
-                    // hit — the selection phase above already evaluated
-                    // every kept pattern from n.)
+                for (p, p_score) in patterns.iter() {
+                    // Shared by every instance extending the pattern: the
+                    // memoized node set and the plus-compositional score
+                    // prefix, which is the pattern's own score.  (The walk
+                    // is a memo hit — the selection phase above already
+                    // evaluated every kept pattern from n.)
                     let p_handle = eval.walk(n, p);
-                    let p_score = score_query_partial(0.0, 0, &p.steps, &config.params);
+                    let p_score = *p_score;
                     let p_len = p.steps.len();
                     for inst in &best_t {
                         // The combination's exact robustness score, without

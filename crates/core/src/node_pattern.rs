@@ -116,7 +116,7 @@ pub fn node_patterns(doc: &Document, node: NodeId, config: &InductionConfig) -> 
 /// Generates text-content predicates for a node, subject to the configured
 /// [`crate::config::TextPolicy`].
 fn text_predicates(doc: &Document, node: NodeId, config: &InductionConfig) -> Vec<Predicate> {
-    let text = doc.normalized_text(node);
+    let text = doc.normalized_str(node);
     if text.is_empty() {
         return Vec::new();
     }
@@ -133,7 +133,7 @@ fn text_predicates(doc: &Document, node: NodeId, config: &InductionConfig) -> Ve
     // Full value equality (only for reasonably short texts, typically
     // template labels like "Director:" or "Country").
     if text.len() <= config.max_text_len {
-        push(StringFunction::Equals, text.clone());
+        push(StringFunction::Equals, text.to_owned());
     }
 
     // A starts-with on the leading label: up to and including the first

@@ -9,6 +9,10 @@
 //! * every candidate expression is evaluated **from scratch** through
 //!   [`wi_xpath::evaluate_reference`] (per-candidate string comparisons,
 //!   fresh buffers per evaluation — the pre-interning evaluator),
+//! * `normalize-space` is computed by walking the node's subtree
+//!   (`normalize_space(&text_value(n))`), never read from the document's
+//!   text index, so the equivalence tests check that index against an
+//!   independent oracle,
 //! * the Algorithm 2 inner loop clones each combination for its optimistic
 //!   pre-check and derives its robustness score twice,
 //! * the best-K tables re-render every stored expression on every insert,
@@ -27,6 +31,7 @@ use crate::node_pattern::{node_patterns, NodePattern};
 use crate::sample::Sample;
 use crate::spine::{common_base_axis, spine, transitive_reach};
 use std::collections::HashMap;
+use wi_dom::document::normalize_space;
 use wi_dom::{Document, NodeId};
 use wi_scoring::{rank_order, score_query, Counts, QueryInstance};
 use wi_xpath::eval_reference::{evaluate_reference, evaluate_step_reference};
@@ -463,7 +468,7 @@ fn sideways_sources(doc: &Document, t: NodeId, config: &InductionConfig) -> Vec<
     let interesting = |s: NodeId| {
         doc.is_element(s)
             && !same_role(s)
-            && (!doc.attributes(s).is_empty() || !doc.normalized_text(s).is_empty())
+            && (!doc.attributes(s).is_empty() || !normalize_space(&doc.text_value(s)).is_empty())
     };
     for s in doc
         .preceding_siblings(t)

@@ -75,7 +75,7 @@ pub fn harvest_targets_by_text(doc: &Document, values: &[String]) -> Vec<NodeId>
     let mut matches: Vec<NodeId> = doc
         .descendants(doc.root())
         .filter(|&n| doc.is_element(n))
-        .filter(|&n| value_set.contains(doc.normalized_text(n).as_str()))
+        .filter(|&n| value_set.contains(doc.normalized_str(n)))
         .collect();
     // Keep only innermost matches.  The match set is small, so a pairwise
     // O(1) interval test (the document-order index) beats walking each

@@ -15,15 +15,49 @@
 //!
 //! The two phases are exposed separately so the induction DP can cache them
 //! at their natural granularity: `generate_candidates` depends only on the
-//! target (plus the directness bit), while `select_candidates` evaluates
-//! from the context node through the caller's shared-prefix engine.
+//! target (plus the directness bit) and renders, hashes and scores each
+//! candidate once, while `select_candidates` evaluates from the context node
+//! through the caller's shared-prefix engine.
 
 use crate::config::InductionConfig;
 use crate::node_pattern::{node_patterns, NodePattern};
+use std::borrow::Cow;
+use std::hash::{Hash, Hasher};
+use wi_dom::fx::{FxHasher, FxMap, FxSet};
 use wi_dom::{Document, NodeId};
-use wi_scoring::{Counts, QueryInstance};
+use wi_scoring::{score_query, Counts, ScoringParams};
 use wi_xpath::eval::evaluate_step;
 use wi_xpath::{Axis, Predicate, PrefixEvaluator, Query, Step};
+
+/// A generated candidate with everything about it that does not depend on
+/// the context node: its render, the render's hash and its robustness
+/// score, each computed once per target.
+#[derive(Debug)]
+pub(crate) struct Candidate {
+    query: Query,
+    render: String,
+    hash: u64,
+    score: f64,
+}
+
+impl Candidate {
+    fn new(query: Query, params: &ScoringParams) -> Candidate {
+        let render = query.render();
+        Candidate {
+            hash: render_hash(&render),
+            score: score_query(&query, params),
+            query,
+            render,
+        }
+    }
+}
+
+/// The FxHash of a render: the key of `select_candidates`' duplicate check.
+fn render_hash(render: &str) -> u64 {
+    let mut h = FxHasher::default();
+    render.hash(&mut h);
+    h.finish()
+}
 
 /// Generates the candidate queries leading from `n` to `t` along `axis`.
 ///
@@ -57,6 +91,9 @@ pub fn step_patterns_with(
     let direct = is_direct(eval.doc(), axis, n, t);
     let generated = generate_candidates(eval.doc(), t, axis, direct, config);
     select_candidates(eval, n, t, &generated, config)
+        .into_iter()
+        .map(|(query, _)| query)
+        .collect()
 }
 
 /// The generation phase of Algorithm 1: all candidate queries for target `t`
@@ -73,8 +110,13 @@ pub(crate) fn generate_candidates(
     axis: Axis,
     direct: bool,
     config: &InductionConfig,
-) -> Vec<Query> {
-    assemble_candidates(&generate_parts(doc, t, axis, config), axis, direct)
+) -> Vec<Candidate> {
+    assemble_candidates(
+        &generate_parts(doc, t, axis, config),
+        axis,
+        direct,
+        &config.params,
+    )
 }
 
 /// The context-independent raw material of Algorithm 1 for one target: the
@@ -133,7 +175,12 @@ pub(crate) fn generate_parts(
 /// first, then the sideways combinations, each with its transitive-axis
 /// variant (and, when `direct`, the base-axis variant).  A sibling anchor
 /// shares `t`'s parent, so the target's directness bit applies to it too.
-pub(crate) fn assemble_candidates(parts: &GeneratedParts, axis: Axis, direct: bool) -> Vec<Query> {
+pub(crate) fn assemble_candidates(
+    parts: &GeneratedParts,
+    axis: Axis,
+    direct: bool,
+    params: &ScoringParams,
+) -> Vec<Candidate> {
     let mut candidates: Vec<Query> =
         Vec::with_capacity((parts.plain.len() + parts.sideways.len()) * (1 + usize::from(direct)));
     for pat in &parts.plain {
@@ -143,6 +190,9 @@ pub(crate) fn assemble_candidates(parts: &GeneratedParts, axis: Axis, direct: bo
         push_axis_variants(&mut candidates, s_pat, axis, direct, Some(side.clone()));
     }
     candidates
+        .into_iter()
+        .map(|query| Candidate::new(query, params))
+        .collect()
 }
 
 /// Returns `true` if `t` is reachable from `n` with a *single* step of the
@@ -223,7 +273,7 @@ fn sideways_sources(doc: &Document, t: NodeId, config: &InductionConfig) -> Vec<
     let interesting = |s: NodeId| {
         doc.is_element(s)
             && !same_role(s)
-            && (!doc.attributes(s).is_empty() || !doc.normalized_text(s).is_empty())
+            && (!doc.attributes(s).is_empty() || !doc.normalized_str(s).is_empty())
     };
     for s in doc
         .preceding_siblings(t)
@@ -310,58 +360,77 @@ fn dedup_steps(steps: Vec<Step>) -> Vec<Step> {
         .collect()
 }
 
+/// A query selected by [`select_candidates`], with its robustness score.
+pub(crate) type ScoredPattern = (Query, f64);
+
+/// A candidate kept by [`select_candidates`].  A generated candidate lends
+/// its cached query, render and score; only a positional refinement, which
+/// depends on the context node, owns its own.
+struct Scored<'c> {
+    query: Cow<'c, Query>,
+    render: Cow<'c, str>,
+    counts: Counts,
+    score: f64,
+}
+
+/// The candidates [`select_candidates`] has kept, without duplicate renders.
+#[derive(Default)]
+struct Kept<'c> {
+    scored: Vec<Scored<'c>>,
+    /// Indexes into `scored` by render hash; the (rare) collision falls back
+    /// to comparing the stored renders, so the dedup is exactly "same
+    /// textual form" without cloning a key per candidate.
+    by_hash: FxMap<u64, Vec<usize>>,
+}
+
+impl<'c> Kept<'c> {
+    /// Keeps `entry` (whose render hashes to `hash`) unless a candidate with
+    /// the same render is already kept.
+    fn insert(&mut self, hash: u64, entry: Scored<'c>) {
+        let bucket = self.by_hash.entry(hash).or_default();
+        if bucket
+            .iter()
+            .any(|&i| self.scored[i].render == entry.render)
+        {
+            return;
+        }
+        bucket.push(self.scored.len());
+        self.scored.push(entry);
+    }
+}
+
+/// The counts of a candidate's result against the single target `{t}`.
+fn counts_against_target(result: &[NodeId], t: NodeId) -> Counts {
+    let tp = u32::from(result.contains(&t));
+    Counts::new(tp, (result.len() as u32).saturating_sub(tp), 1 - tp)
+}
+
 /// Evaluates each candidate from `n`, refines inaccurate ones positionally,
 /// and keeps a bounded selection: the best `k` accurate queries plus the best
 /// `k` general queries (ranked by accuracy-against-`{t}` first, score
-/// second).
+/// second).  Each selected query comes with its robustness score.
+///
+/// Generated candidates bring their render, hash and score from the
+/// per-target cache; only positional refinements are rendered and scored
+/// here.  Every kept candidate's render backs the duplicate check, the rank
+/// tie-breaks, the emit dedup and the final sort below.
 pub(crate) fn select_candidates(
     eval: &mut PrefixEvaluator<'_>,
     n: NodeId,
     t: NodeId,
-    candidates: &[Query],
+    candidates: &[Candidate],
     config: &InductionConfig,
-) -> Vec<Query> {
-    // Each kept candidate is rendered exactly once; the rendered form backs
-    // the duplicate check, the rank tie-breaks, the emit dedup and the final
-    // sort below, instead of being re-derived at every site.
-    let mut scored: Vec<(QueryInstance, String)> = Vec::new();
-    // Duplicate suppression indexed by the render's hash; the (rare)
-    // collision falls back to comparing the stored renders, so the dedup is
-    // exactly "same textual form" without cloning a key per candidate.
-    let mut seen: wi_dom::fx::FxMap<u64, Vec<usize>> = wi_dom::fx::FxMap::default();
-
-    let mut consider =
-        |query: Query, result: &[NodeId], scored: &mut Vec<(QueryInstance, String)>| {
-            let key = query.render();
-            let hash = {
-                use std::hash::{Hash, Hasher};
-                let mut h = wi_dom::fx::FxHasher::default();
-                key.hash(&mut h);
-                h.finish()
-            };
-            let bucket = seen.entry(hash).or_default();
-            if bucket.iter().any(|&i| scored[i].1 == key) {
-                return;
-            }
-            bucket.push(scored.len());
-            let tp = u32::from(result.contains(&t));
-            let fp = (result.len() as u32).saturating_sub(tp);
-            let fne = 1 - tp;
-            scored.push((
-                QueryInstance::new(query, Counts::new(tp, fp, fne), &config.params),
-                key,
-            ));
-        };
-
+) -> Vec<ScoredPattern> {
+    let mut kept = Kept::default();
     // Scratch copy of an ambiguous candidate's result, so the refinement
     // below can reuse it after the evaluator borrow ends.
     let mut ambiguous: Vec<NodeId> = Vec::new();
     // All candidates are relative queries from the same context: resolve the
     // trie root once.
     let from_n = eval.context_handle(n);
-    for query in candidates {
-        let result = eval.evaluate_from(from_n, query);
-        if result.is_empty() || !result.contains(&t) {
+    for cand in candidates {
+        let result = eval.evaluate_from(from_n, &cand.query);
+        if !result.contains(&t) {
             continue;
         }
         let result_len = result.len();
@@ -369,38 +438,49 @@ pub(crate) fn select_candidates(
             ambiguous.clear();
             ambiguous.extend_from_slice(result);
         }
-        consider(query.clone(), result, &mut scored);
+        let counts = counts_against_target(result, t);
+        kept.insert(
+            cand.hash,
+            Scored {
+                query: Cow::Borrowed(&cand.query),
+                render: Cow::Borrowed(&cand.render),
+                counts,
+                score: cand.score,
+            },
+        );
         if result_len > 1 {
             // Positional refinement applies to the *first* step of the
             // pattern (the step whose selection is ambiguous from n); for
             // sideways patterns that step selects the sibling source, so we
             // refine by the position of whichever first-step candidate leads
             // to t.
-            if let Some(refined) = refine_first_step(eval, n, t, query, &ambiguous, config) {
+            if let Some(refined) = refine_first_step(eval, n, t, &cand.query, &ambiguous, config) {
                 let refined_result = eval.evaluate_from(from_n, &refined);
                 if refined_result.contains(&t) {
-                    consider(refined, refined_result, &mut scored);
+                    let counts = counts_against_target(refined_result, t);
+                    let render = refined.render();
+                    let entry = Scored {
+                        score: score_query(&refined, &config.params),
+                        query: Cow::Owned(refined),
+                        render: Cow::Owned(render),
+                        counts,
+                    };
+                    kept.insert(render_hash(&entry.render), entry);
                 }
             }
         }
     }
 
-    // `rank_order` with the tie-break reading the pre-rendered forms (the
-    // plain comparator would re-render both sides on every exact tie).
-    scored.sort_by(|a, b| match b.0.f05().total_cmp(&a.0.f05()) {
-        std::cmp::Ordering::Equal => match a.0.score.total_cmp(&b.0.score) {
-            std::cmp::Ordering::Equal => match a.0.query.len().cmp(&b.0.query.len()) {
-                std::cmp::Ordering::Equal => a.1.cmp(&b.1),
-                other => other,
-            },
-            other => other,
-        },
-        other => other,
+    // `rank_order`, with the tie-break reading the cached renders.
+    let mut scored = kept.scored;
+    scored.sort_by(|a, b| {
+        b.counts
+            .f_05()
+            .total_cmp(&a.counts.f_05())
+            .then_with(|| a.score.total_cmp(&b.score))
+            .then_with(|| a.query.len().cmp(&b.query.len()))
+            .then_with(|| a.render.cmp(&b.render))
     });
-    // From here on every instance travels with its cached render; scores
-    // come from the instances themselves — nothing below re-renders or
-    // re-scores a query.
-    let scored: Vec<(QueryInstance, String)> = scored;
 
     // Selection.  The table at the induce-path level ranks candidates
     // against the *relevant* targets tar(n), which stepPattern does not know
@@ -414,54 +494,52 @@ pub(crate) fn select_candidates(
     //  * general candidates, both the cheapest ones (short selective
     //    patterns that typically select whole template lists) and the most
     //    accurate-against-{t} ones.
-    let mut out: Vec<(&QueryInstance, &str)> = Vec::new();
-    let mut emitted: wi_dom::fx::FxSet<&str> = wi_dom::fx::FxSet::default();
-    fn emit<'a>(
-        entry: &'a (QueryInstance, String),
-        emitted: &mut wi_dom::fx::FxSet<&'a str>,
-        out: &mut Vec<(&'a QueryInstance, &'a str)>,
+    let mut out: Vec<&Scored<'_>> = Vec::new();
+    let mut emitted: FxSet<&str> = FxSet::default();
+    fn emit<'a, 'c>(
+        entry: &'a Scored<'c>,
+        emitted: &mut FxSet<&'a str>,
+        out: &mut Vec<&'a Scored<'c>>,
     ) {
-        if emitted.insert(entry.1.as_str()) {
-            out.push((&entry.0, entry.1.as_str()));
+        if emitted.insert(&entry.render) {
+            out.push(entry);
         }
     }
 
     for entry in &scored {
-        let inst = &entry.0;
-        if inst.query.len() == 1 && inst.query.steps.iter().all(|s| s.predicates.is_empty()) {
+        if entry.query.len() == 1 && entry.query.steps.iter().all(|s| s.predicates.is_empty()) {
             emit(entry, &mut emitted, &mut out);
         }
     }
 
-    let exact: Vec<&(QueryInstance, String)> = scored
+    for entry in scored
         .iter()
-        .filter(|(i, _)| i.is_exact() && i.fp() == 0)
-        .collect();
-    for entry in exact.iter().take(2 * config.k) {
+        .filter(|s| s.counts.is_exact())
+        .take(2 * config.k)
+    {
         emit(entry, &mut emitted, &mut out);
     }
 
-    let general: Vec<&(QueryInstance, String)> = scored
-        .iter()
-        .filter(|(i, _)| !(i.is_exact() && i.fp() == 0))
-        .collect();
+    let general: Vec<&Scored<'_>> = scored.iter().filter(|s| !s.counts.is_exact()).collect();
     // Cheapest general patterns first …
-    let mut by_score: Vec<&&(QueryInstance, String)> = general.iter().collect();
-    by_score.sort_by(|a, b| a.0.score.total_cmp(&b.0.score));
-    for entry in by_score.iter().take(config.k) {
+    let mut by_score = general.clone();
+    by_score.sort_by(|a, b| a.score.total_cmp(&b.score));
+    for entry in by_score.into_iter().take(config.k) {
         emit(entry, &mut emitted, &mut out);
     }
     // … plus the most accurate-against-{t} general patterns.
-    for entry in general.iter().take(config.k) {
+    for entry in general.into_iter().take(config.k) {
         emit(entry, &mut emitted, &mut out);
     }
 
-    // Order by robustness score for downstream determinism, reusing the
-    // cached scores and renders (the instance's cached score *is*
-    // `score_query` of its expression).
-    out.sort_by(|a, b| a.0.score.total_cmp(&b.0.score).then_with(|| a.1.cmp(b.1)));
+    // Order by robustness score for downstream determinism.
+    out.sort_by(|a, b| {
+        a.score
+            .total_cmp(&b.score)
+            .then_with(|| a.render.cmp(&b.render))
+    });
     out.into_iter()
-        .map(|(inst, _)| inst.query.clone())
+        .map(|entry| (entry.query.as_ref().clone(), entry.score))
         .collect()
 }
 

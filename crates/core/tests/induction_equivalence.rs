@@ -8,9 +8,13 @@
 //! the speedup itself under test so a regression that silently disables
 //! sharing fails the gate, not just the benchmark.
 
-use wi_induction::{induce, induce_reference, InductionConfig, Sample};
+use wi_dom::{to_html, Document};
+use wi_induction::{harvest_targets_by_text, induce, induce_reference, InductionConfig, Sample};
 use wi_webgen::datasets::{multi_node_tasks, single_node_tasks};
 use wi_webgen::date::Day;
+use wi_webgen::site::{PageKind, Site};
+use wi_webgen::style::Vertical;
+use wi_webgen::tasks::{TargetRole, WrapperTask};
 use wi_xpath::Query;
 
 /// Renders an instance list into a comparable form (expression, counts,
@@ -66,6 +70,57 @@ fn trie_equals_naive_on_multi_node_tasks() {
             task.id()
         );
     }
+}
+
+/// The shape of a `POST /induce` onboarding in the serve benchmark: detail
+/// page 0 of a site at day 0, serialized and parsed back, targets found by
+/// their text, one sample from the root, the default configuration.  Every
+/// single-node role on two sites per vertical, the verticals split over up
+/// to four threads (the naive engine is slow in debug builds).
+#[test]
+fn trie_equals_naive_on_the_serve_induce_shape() {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+    let checked: usize = std::thread::scope(|scope| {
+        let workers: Vec<_> = Vertical::ALL
+            .chunks(Vertical::ALL.len().div_ceil(threads))
+            .map(|verticals| scope.spawn(move || check_serve_induce_shape(verticals)))
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+    assert!(checked >= 100, "only {checked} tasks had targets");
+}
+
+/// Checks the serve `/induce` shape on `verticals`; returns the number of
+/// tasks checked.
+fn check_serve_induce_shape(verticals: &[Vertical]) -> usize {
+    let config = InductionConfig::default();
+    let mut checked = 0;
+    for &vertical in verticals {
+        for index in 0..2 {
+            for &role in TargetRole::SINGLE {
+                let task = WrapperTask::new(Site::new(vertical, index), 0, PageKind::Detail, role);
+                let (rendered, targets) = task.page_with_targets(Day(0));
+                let texts: Vec<String> = targets
+                    .iter()
+                    .map(|&n| rendered.normalized_text(n))
+                    .collect();
+                let doc = Document::parse(&to_html(&rendered)).expect("rendered pages parse");
+                let targets = harvest_targets_by_text(&doc, &texts);
+                if targets.is_empty() {
+                    continue;
+                }
+                let sample = Sample::from_root(&doc, &targets);
+                assert_eq!(
+                    fingerprint(&induce(&[sample], &config)),
+                    fingerprint(&induce_reference(&[sample], &config)),
+                    "divergence on task {}",
+                    task.id()
+                );
+                checked += 1;
+            }
+        }
+    }
+    checked
 }
 
 #[test]

@@ -9,6 +9,7 @@ use crate::iter::{
 };
 use crate::node::{Attribute, Node, NodeData, NodeId, NodeKind};
 use crate::order::{OrderIndex, TagIndex};
+use crate::text::TextIndex;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -22,8 +23,8 @@ use std::sync::OnceLock;
 /// A document is immutable once built, and every node's [`NodeId`] is its
 /// document-order (pre-order) rank; see [`crate::order`].  Ordered queries
 /// (`is_ancestor_of`, `depth`, `subtree_size`, the `following`/`preceding`
-/// axes and the tag lookups) are served by lazily built indexes that, like
-/// the document, never change once built.
+/// axes, the tag lookups and `normalize-space`) are served by lazily built
+/// indexes that, like the document, never change once built.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Document {
     pub(crate) nodes: Vec<Node>,
@@ -39,6 +40,8 @@ pub struct Document {
     hashes: OnceLock<HashIndex>,
     /// Lazily built attribute censuses (see [`crate::attrs`]).
     attrs: OnceLock<AttrIndex>,
+    /// Lazily built whitespace-collapsed text (see [`crate::text`](mod@crate::text)).
+    text: OnceLock<TextIndex>,
 }
 
 /// Reserved tag name of the synthetic document root.
@@ -75,6 +78,7 @@ impl Document {
             tags: OnceLock::new(),
             hashes: OnceLock::new(),
             attrs: OnceLock::new(),
+            text: OnceLock::new(),
         }
     }
 
@@ -90,6 +94,11 @@ impl Document {
     /// The tag-name index, built on first use.
     pub fn tag_index(&self) -> &TagIndex {
         self.tags.get_or_init(|| TagIndex::build(self))
+    }
+
+    /// The normalized-text index, built on first use.
+    pub fn text_index(&self) -> &TextIndex {
+        self.text.get_or_init(|| TextIndex::build(self))
     }
 
     /// The structural-hash index, built on first use.
@@ -414,22 +423,21 @@ impl Document {
     }
 
     /// Nodes strictly after `id` in document order that are not descendants
-    /// of `id` (the XPath `following` axis), returned in document order:
-    /// the id range after `id`'s subtree.
-    pub fn following(&self, id: NodeId) -> Vec<NodeId> {
+    /// of `id` (the XPath `following` axis), in document order: the id
+    /// range after `id`'s subtree.
+    pub fn following(&self, id: NodeId) -> impl DoubleEndedIterator<Item = NodeId> {
         let end = self.order_index().subtree_range(id).end;
-        (end..self.len()).map(NodeId::from_index).collect()
+        (end..self.len()).map(NodeId::from_index)
     }
 
     /// Nodes strictly before `id` in document order that are not ancestors of
-    /// `id` (the XPath `preceding` axis), returned in document order: the
-    /// ids before `id` whose subtree ends at or before `id`.
-    pub fn preceding(&self, id: NodeId) -> Vec<NodeId> {
+    /// `id` (the XPath `preceding` axis), in document order: the ids before
+    /// `id` whose subtree ends at or before `id`.
+    pub fn preceding(&self, id: NodeId) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
         let index = self.order_index();
         (0..id.index())
+            .filter(move |&n| index.subtree_range(NodeId::from_index(n)).end <= id.index())
             .map(NodeId::from_index)
-            .filter(|&n| index.subtree_range(n).end <= id.index())
-            .collect()
     }
 
     /// Returns `true` if `ancestor` is a proper ancestor of `node`.  O(1)
@@ -572,8 +580,19 @@ impl Document {
     /// `normalize-space(.)` applied to the node's string-value: leading and
     /// trailing whitespace removed and internal whitespace runs collapsed to
     /// single spaces.
+    ///
+    /// A slice of the text index: O(1) and allocation-free after the
+    /// index's one O(n) build (see [`crate::text`](mod@crate::text)).  Equal to
+    /// `normalize_space(&self.text_value(id))`, which stays the independent
+    /// oracle the tests check it against.
+    pub fn normalized_str(&self, id: NodeId) -> &str {
+        self.text_index()
+            .normalized(self.order_index().subtree_range(id))
+    }
+
+    /// [`normalized_str`](Self::normalized_str) as an owned `String`.
     pub fn normalized_text(&self, id: NodeId) -> String {
-        normalize_space(&self.text_value(id))
+        self.normalized_str(id).to_owned()
     }
 
     /// The set of whitespace-separated words occurring in the document's
@@ -802,6 +821,81 @@ mod tests {
         assert_eq!(doc.normalized_text(span), "Martin Scorsese");
     }
 
+    /// The text index agrees with the oracle on every node of `doc`.
+    fn assert_index_matches_oracle(doc: &Document) {
+        for id in (0..doc.len()).map(NodeId::from_index) {
+            assert_eq!(
+                doc.normalized_str(id),
+                normalize_space(&doc.text_value(id)),
+                "{id:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn normalized_text_across_text_node_boundaries() {
+        let doc = el("div")
+            .child(el("p").text_child("a ").text_child(" b"))
+            .child(el("p").text_child("a").text_child(" b"))
+            .child(
+                el("p")
+                    .text_child("x")
+                    .child(el("i").text_child(" "))
+                    .text_child("y"),
+            )
+            .into_document();
+        let ps = doc.elements_by_tag("p");
+        assert_eq!(doc.normalized_str(ps[0]), "a b");
+        assert_eq!(doc.normalized_str(ps[1]), "a b");
+        assert_eq!(doc.normalized_str(ps[2]), "x y");
+        let halves: Vec<&str> = doc.children(ps[0]).map(|t| doc.normalized_str(t)).collect();
+        assert_eq!(halves, ["a", "b"]);
+        // No separator between the paragraphs: "a " + " b" + "a" + " b" + …
+        assert_eq!(doc.normalized_str(doc.root()), "a ba bx y");
+        assert_index_matches_oracle(&doc);
+    }
+
+    #[test]
+    fn normalized_text_collapses_unicode_whitespace() {
+        // NBSP and U+3000 are whitespace to `split_whitespace` too.
+        let doc = el("p")
+            .text_child("\u{a0}Dir\u{3000}\u{a0}ector:\t\n")
+            .text_child("\u{3000}Scorsese\u{a0}")
+            .into_document();
+        let p = doc.elements_by_tag("p")[0];
+        assert_eq!(doc.normalized_str(p), "Dir ector: Scorsese");
+        assert_index_matches_oracle(&doc);
+    }
+
+    #[test]
+    fn normalized_text_of_empty_and_blank_text_nodes() {
+        let doc = el("ul")
+            .child(el("li").text_child(""))
+            .child(el("li").text_child(" \t "))
+            .child(el("li"))
+            .child(el("li").text_child("").text_child("x").text_child(""))
+            .child(el("li").text_child(" ").text_child("").text_child(" y "))
+            .into_document();
+        let texts: Vec<&str> = doc
+            .elements_by_tag("li")
+            .into_iter()
+            .map(|li| doc.normalized_str(li))
+            .collect();
+        assert_eq!(texts, ["", "", "", "x", "y"]);
+        assert_index_matches_oracle(&doc);
+    }
+
+    #[test]
+    fn normalized_text_with_a_text_node_as_context() {
+        let doc = el("p").text_child("  two \n words ").into_document();
+        let p = doc.elements_by_tag("p")[0];
+        let t = doc.first_child(p).unwrap();
+        assert!(doc.is_text(t));
+        assert_eq!(doc.normalized_str(t), "two words");
+        assert_eq!(doc.normalized_text(t), "two words");
+        assert_index_matches_oracle(&doc);
+    }
+
     #[test]
     fn normalize_space_behaviour() {
         assert_eq!(normalize_space("  a  b\t\nc "), "a b c");
@@ -841,7 +935,7 @@ mod tests {
     fn following_and_preceding_axes() {
         let doc = sample();
         let h4 = doc.elements_by_tag("h4")[0];
-        let following = doc.following(h4);
+        let following: Vec<NodeId> = doc.following(h4).collect();
         // The a, span, their text, the second div and its text follow h4.
         assert!(following.contains(&doc.elements_by_tag("a")[0]));
         assert!(following.contains(&doc.elements_by_tag("span")[0]));
@@ -849,7 +943,7 @@ mod tests {
         assert!(!following.contains(&doc.elements_by_tag("body")[0]));
 
         let other = doc.elements_by_class("other")[0];
-        let preceding = doc.preceding(other);
+        let preceding: Vec<NodeId> = doc.preceding(other).collect();
         assert!(preceding.contains(&h4));
         assert!(preceding.contains(&doc.element_by_id("main").unwrap()));
         assert!(!preceding.contains(&doc.elements_by_tag("body")[0]));

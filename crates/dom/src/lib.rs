@@ -21,12 +21,21 @@
 //!   names and attribute values resolve to dense [`Sym`] handles so the
 //!   query evaluator's inner loops are integer compares (see the [`intern`]
 //!   module docs for the ownership contract),
-//! * the `text-value` / `normalize-space` semantics of XPath 1.0,
+//! * the `text-value` / `normalize-space` semantics of XPath 1.0, with
+//!   `normalize-space` of any node an O(1) borrowed slice of the **text
+//!   index** ([`text`](mod@text)),
 //! * **structural subtree equality and hashing** (node-id free), which is the
 //!   basis of the paper's robustness definition ("there exists a bijection π
 //!   between q(D) and q(D') with D/v = D'/π(v)"),
 //! * a tolerant **HTML parser** and a **serializer** so documents can round
 //!   trip through markup.
+//!
+//! A [`Document`] carries five lazily built indexes, each behind a
+//! `OnceLock`, built by one pass over the arena on first use and freed with
+//! the document: [`OrderIndex`] (subtree sizes and depths), [`TagIndex`]
+//! (tag → elements), [`HashIndex`] (structural subtree hashes),
+//! [`AttrIndex`] (attribute censuses) and [`TextIndex`] (collapsed text
+//! plus per-node offsets; one copy of the page's text plus 4 B per node).
 //!
 //! The crate has no dependency on the rest of the workspace and can be used on
 //! its own as a tiny DOM library.
@@ -63,6 +72,7 @@ pub mod node;
 pub mod order;
 pub mod parser;
 pub mod serializer;
+pub mod text;
 
 pub use attrs::AttrIndex;
 pub use builder::{el, text, DocumentBuilder, TreeSpec};
@@ -75,3 +85,4 @@ pub use node::{Attribute, NodeData, NodeId, NodeKind};
 pub use order::{OrderIndex, TagIndex};
 pub use parser::{parse_html, parse_html_with, ParseOptions};
 pub use serializer::{to_html, SerializeOptions};
+pub use text::TextIndex;

@@ -2,14 +2,22 @@
 //! each at most 512 KB (far under the daemon's request-size limit).
 //!
 //! Every case asserts the exact node count of the parsed arena.  Release
-//! builds also assert a 2 s wall-clock budget per parse: the parser is
+//! builds also assert a 2 s wall-clock budget per case for the parse plus
+//! `normalize-space` of every node: the parser and the text index are
 //! linear in the input, so each of these takes milliseconds, while a
 //! parser that rescans its open-element stack or the rest of the input
-//! per tag takes tens of seconds on the nesting and raw-text shapes.
-//! Debug builds check only the counts.  Run the budgets with
+//! per tag — or a `normalize-space` that walks each node's subtree — takes
+//! tens of seconds on the nesting and raw-text shapes.  Debug builds check
+//! only the counts.  Run the budgets with
 //! `cargo test --release -p wi-dom --test hostile_html`.
+//!
+//! Each case also checks the text index against the subtree-walking oracle
+//! `normalize_space(&text_value(n))` on the root and on 100 sampled nodes
+//! (on every node the oracle is quadratic on the nesting shape).
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
+use wi_dom::document::normalize_space;
 use wi_dom::{parse_html, Document, NodeId};
 
 const BODY: usize = 512 * 1024;
@@ -21,20 +29,42 @@ fn fill(unit: &str) -> (String, usize) {
     (unit.repeat(n), n)
 }
 
-/// Parses `input`, checks its size and the parse budget, and returns the
+/// Parses `input` and reads `normalize-space` of every node, checks its
+/// size, the budget and the text index against the oracle, and returns the
 /// document for the caller's count checks.
 fn parse_within_budget(case: &str, input: &str) -> Document {
     assert!(input.len() <= BODY, "{case}: body is {} bytes", input.len());
     let start = Instant::now();
     let doc = parse_html(input).expect("the parser never rejects tag soup");
+    for id in (0..doc.len()).map(NodeId::from_index) {
+        black_box(doc.normalized_str(id));
+    }
     let elapsed = start.elapsed();
     if !cfg!(debug_assertions) {
         assert!(
             elapsed < BUDGET,
-            "{case}: parsing {} bytes took {elapsed:?} (budget {BUDGET:?})",
+            "{case}: parsing {} bytes and normalizing every node took {elapsed:?} \
+             (budget {BUDGET:?})",
             input.len()
         );
     }
+    let step = (doc.len() / 100).max(1);
+    for id in (0..doc.len())
+        .step_by(step)
+        .take(100)
+        .map(NodeId::from_index)
+    {
+        assert_eq!(
+            doc.normalized_str(id),
+            normalize_space(&doc.text_value(id)),
+            "{case}: {id:?}"
+        );
+    }
+    let root = doc.root();
+    assert_eq!(
+        doc.normalized_str(root),
+        normalize_space(&doc.text_value(root))
+    );
     doc
 }
 

@@ -19,6 +19,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
+use wi_dom::document::normalize_space;
 use wi_dom::{parse_html_with, Document, NodeData, NodeId, ParseOptions};
 
 /// `(case name, options, input)`; one or more cases per rule of the
@@ -278,5 +279,19 @@ fn arena_order_is_document_order() {
             count += 1;
         }
         assert_eq!(count, doc.len(), "{name}: every slot is in the tree");
+    }
+}
+
+#[test]
+fn text_index_matches_the_oracle_on_the_corpus() {
+    for (name, options, input) in corpus() {
+        let doc = parse_html_with(input, options).expect("the parser never rejects tag soup");
+        for id in (0..doc.len()).map(NodeId::from_index) {
+            assert_eq!(
+                doc.normalized_str(id),
+                normalize_space(&doc.text_value(id)),
+                "{name}: {id:?}"
+            );
+        }
     }
 }

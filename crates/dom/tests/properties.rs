@@ -2,6 +2,7 @@
 //! arena tree, navigation, document order, hashing and serialization.
 
 use proptest::prelude::*;
+use wi_dom::document::normalize_space;
 use wi_dom::{
     parse_html, structural_hash, subtree_equal, to_html, Document, DocumentBuilder, NodeId,
     ParseOptions,
@@ -38,6 +39,53 @@ fn arb_document() -> impl Strategy<Value = Document> {
         }
         builder.finish_lenient()
     })
+}
+
+/// A random tree whose text nodes are drawn from whitespace-heavy pieces
+/// (ASCII runs, NBSP, U+3000, empty and blank strings), several per
+/// element, so whitespace runs cross text-node and element boundaries.
+fn arb_spaced_document() -> impl Strategy<Value = Document> {
+    const PIECES: [&str; 10] = [
+        "",
+        " ",
+        "a",
+        "b c",
+        " d ",
+        "\t\n",
+        "e\u{a0}",
+        "\u{3000}f",
+        "  g  h",
+        "i\r\n ",
+    ];
+    prop::collection::vec(
+        (0usize..4, prop::collection::vec(0..PIECES.len(), 0..4)),
+        1..40,
+    )
+    .prop_map(|rows| {
+        let mut builder = DocumentBuilder::new();
+        builder.open_element("body", &[]);
+        let base = builder.depth();
+        for (depth, pieces) in rows {
+            while builder.depth() > base + depth {
+                let _ = builder.close_element();
+            }
+            builder.open_element("div", &[]);
+            for p in pieces {
+                builder.text(PIECES[p]);
+            }
+        }
+        builder.finish_lenient()
+    })
+}
+
+/// Asserts that the text index agrees with the independent oracle
+/// `normalize_space(&text_value(n))` on every node.
+fn check_index_against_oracle(doc: &Document) -> Result<(), TestCaseError> {
+    for node in all_nodes(doc) {
+        let oracle = normalize_space(&doc.text_value(node));
+        prop_assert_eq!(doc.normalized_str(node), oracle.as_str(), "node {:?}", node);
+    }
+    Ok(())
 }
 
 /// All nodes of a document in document order.
@@ -284,6 +332,20 @@ proptest! {
         }
     }
 
+    /// The text index reads `normalize-space` of every node exactly as the
+    /// subtree-walking oracle computes it.
+    #[test]
+    fn text_index_matches_the_oracle(doc in arb_document()) {
+        check_index_against_oracle(&doc)?;
+    }
+
+    /// The same on whitespace-heavy text: runs spanning text nodes and
+    /// elements, Unicode whitespace, empty and blank text nodes.
+    #[test]
+    fn text_index_matches_the_oracle_on_spaced_text(doc in arb_spaced_document()) {
+        check_index_against_oracle(&doc)?;
+    }
+
     /// `normalized_text` never contains leading/trailing or doubled
     /// whitespace.
     #[test]
@@ -376,8 +438,8 @@ proptest! {
         }
         // following / preceding range scans agree with the tree walks.
         for &n in live.iter().take(8) {
-            prop_assert_eq!(doc.following(n), following_reference(&doc, n));
-            prop_assert_eq!(doc.preceding(n), preceding_reference(&doc, n));
+            prop_assert_eq!(doc.following(n).collect::<Vec<_>>(), following_reference(&doc, n));
+            prop_assert_eq!(doc.preceding(n).collect::<Vec<_>>(), preceding_reference(&doc, n));
         }
         // Tag index agrees with a linear scan.
         for tag in ["div", "span", "section", "a"] {

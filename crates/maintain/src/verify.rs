@@ -308,7 +308,7 @@ pub(crate) fn neighborhood_present(
     texts.iter().all(|text| {
         carriers.iter().any(|&carrier| {
             doc.descendants_or_self(carrier)
-                .any(|n| doc.is_element(n) && doc.normalized_text(n) == *text)
+                .any(|n| doc.is_element(n) && doc.normalized_str(n) == text)
         })
     })
 }
@@ -701,7 +701,7 @@ fn probe_anchors(
 pub(crate) fn text_anchor_occurs(doc: &Document, value: &str, func: StringFunction) -> bool {
     doc.descendants(doc.root())
         .filter(|&n| doc.is_element(n))
-        .any(|n| func.apply(&doc.normalized_text(n), value))
+        .any(|n| func.apply(doc.normalized_str(n), value))
 }
 
 /// Whether any element matching the step's node test carries `value` under

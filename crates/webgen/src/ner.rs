@@ -135,7 +135,7 @@ pub fn run_ner(
         .filter(|&n| doc.is_element(n))
         .filter(|&n| doc.element_children(n).next().is_none())
         .filter(|&n| !truth.contains(&n))
-        .filter(|&n| !doc.normalized_text(n).is_empty())
+        .filter(|&n| !doc.normalized_str(n).is_empty())
         .collect();
     random_pool.shuffle(&mut rng);
     annotated.extend(random_pool.into_iter().take(random_count));
@@ -190,7 +190,7 @@ fn innermost(doc: &Document, values: &[impl AsRef<str>]) -> Vec<NodeId> {
     let matches: Vec<NodeId> = doc
         .descendants(doc.root())
         .filter(|&n| doc.is_element(n))
-        .filter(|&n| set.contains(doc.normalized_text(n).as_str()))
+        .filter(|&n| set.contains(doc.normalized_str(n)))
         .collect();
     let match_set: std::collections::HashSet<NodeId> = matches.iter().copied().collect();
     matches

@@ -216,7 +216,7 @@ pub fn find_targets(doc: &Document, view: &PageView, role: TargetRole) -> Vec<No
                 .into_iter()
                 .filter(|&n| {
                     doc.ancestors(n)
-                        .any(|a| doc.normalized_text(a).starts_with("Stars:"))
+                        .any(|a| doc.normalized_str(a).starts_with("Stars:"))
                 })
                 .collect()
         }
@@ -257,7 +257,7 @@ pub fn find_targets(doc: &Document, view: &PageView, role: TargetRole) -> Vec<No
                 .filter(|&link| {
                     doc.ancestors(link).any(|anc| {
                         doc.element_children(anc).any(|c| {
-                            doc.tag_name(c) == Some("h3") && doc.normalized_text(c) == "Related"
+                            doc.tag_name(c) == Some("h3") && doc.normalized_str(c) == "Related"
                         })
                     })
                 })
@@ -308,7 +308,7 @@ fn innermost_with_texts(doc: &Document, values: &[String], tag: Option<&str>) ->
         .descendants(doc.root())
         .filter(|&n| doc.is_element(n))
         .filter(|&n| tag.is_none_or(|t| doc.tag_name(n) == Some(t)))
-        .filter(|&n| value_set.contains(doc.normalized_text(n).as_str()))
+        .filter(|&n| value_set.contains(doc.normalized_str(n)))
         .collect();
     // Keep only innermost matches (drop any match that has another match as
     // a descendant).

@@ -277,15 +277,10 @@ fn axis_nodes_into(axis: Axis, doc: &Document, context: NodeId, out: &mut Vec<No
         Axis::AncestorOrSelf => out.extend(doc.ancestors_or_self(context)),
         Axis::FollowingSibling => out.extend(doc.following_siblings(context)),
         Axis::PrecedingSibling => out.extend(doc.preceding_siblings(context)),
-        // `following`/`preceding` are contiguous range scans over the
-        // document-order index.
+        // `following`/`preceding` are id-range scans over the order index;
+        // preceding is a reverse axis: nearest node first.
         Axis::Following => out.extend(doc.following(context)),
-        Axis::Preceding => {
-            // preceding is a reverse axis: nearest node first.
-            let start = out.len();
-            out.extend(doc.preceding(context));
-            out[start..].reverse();
-        }
+        Axis::Preceding => out.extend(doc.preceding(context).rev()),
         Axis::SelfAxis => out.push(context),
         // Attribute axis: stay on the element (see module documentation).
         Axis::Attribute => out.push(context),
@@ -353,7 +348,7 @@ fn apply_predicate(
                 }
             }
             TextSource::NormalizedText => {
-                candidates.retain(|&c| func.apply(&doc.normalized_text(c), value));
+                candidates.retain(|&c| func.apply(doc.normalized_str(c), value));
             }
         },
         Predicate::Path(q) => {

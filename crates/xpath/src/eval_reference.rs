@@ -4,8 +4,10 @@
 //! This module preserves, verbatim in structure and cost profile, the
 //! evaluator as it existed before the document interner landed: node tests
 //! and predicates compare raw strings **per candidate node** (tag names via
-//! `tag_name`, attributes via a linear name scan), and every call allocates
-//! fresh working buffers (the pre-pooling behavior of `evaluate`).  It must
+//! `tag_name`, attributes via a linear name scan), `normalize-space(.)`
+//! walks the candidate's subtree (`normalize_space(&text_value(c))`, never
+//! the document's text index), and every call allocates fresh working
+//! buffers (the pre-pooling behavior of `evaluate`).  It must
 //! produce byte-identical node sets to [`crate::evaluate`] — the symbol
 //! resolution in the production evaluator is an evaluation-strategy change,
 //! never a semantics change — which the property tests assert.
@@ -16,6 +18,7 @@
 
 use crate::ast::{Axis, NodeTest, Predicate, Query, Step, TextSource};
 use crate::eval::axis_nodes;
+use wi_dom::document::normalize_space;
 use wi_dom::{Document, NodeId, NodeKind};
 
 /// Evaluates `query` from `context` with the retained string-comparing
@@ -115,7 +118,9 @@ fn apply_predicate_reference(pred: &Predicate, doc: &Document, candidates: &mut 
                 TextSource::Attribute(a) => {
                     doc.attribute(c, a).is_some_and(|v| func.apply(v, value))
                 }
-                TextSource::NormalizedText => func.apply(&doc.normalized_text(c), value),
+                TextSource::NormalizedText => {
+                    func.apply(&normalize_space(&doc.text_value(c)), value)
+                }
             });
         }
         Predicate::Path(q) => {

@@ -3,6 +3,7 @@
 //! canonical paths and fragment classification.
 
 use proptest::prelude::*;
+use wi_dom::document::normalize_space;
 use wi_dom::{Document, DocumentBuilder, NodeId};
 use wi_xpath::{
     c_changes, canonical_path, canonical_step, evaluate, evaluate_with_anchors, is_ds_xpath,
@@ -425,7 +426,9 @@ fn string_pred_matches(doc: &Document, node: NodeId, pred: &Predicate) -> bool {
                 .iter()
                 .find(|a| a.name == name.as_str())
                 .is_some_and(|a| func.apply(&a.value, value)),
-            TextSource::NormalizedText => func.apply(&doc.normalized_text(node), value),
+            TextSource::NormalizedText => {
+                func.apply(&normalize_space(&doc.text_value(node)), value)
+            }
         },
         _ => unreachable!("reference covers filter predicates only"),
     }
