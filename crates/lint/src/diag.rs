@@ -24,9 +24,9 @@ impl Diagnostic {
     /// `file:line:rule-id` header plus the rendered span:
     ///
     /// ```text
-    /// crates/serve/src/handlers.rs:204:R4: `expect` reachable from request handler `handle`
-    ///   204 |             Ok(i) => results[*i].take().expect("each doc used once"),
-    ///       |                                         ^
+    /// crates/core/src/score.rs:204:R3: bare `evaluate(` allocates a fresh EvalContext per call; …
+    ///   204 |         let hits = evaluate(query, doc, root);
+    ///       |                    ^
     /// ```
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -111,19 +111,19 @@ mod tests {
 
     fn d() -> Diagnostic {
         Diagnostic {
-            rule: "R4",
-            file: "crates/serve/src/handlers.rs".into(),
+            rule: "R3",
+            file: "crates/core/src/score.rs".into(),
             line: 204,
-            col: 45,
-            message: "`expect` reachable from request handler `handle`".into(),
-            source_line: "            Ok(i) => results[*i].take().expect(\"once\"),".into(),
+            col: 20,
+            message: "bare `evaluate(` allocates a fresh EvalContext per call".into(),
+            source_line: "        let hits = evaluate(query, doc, root);".into(),
         }
     }
 
     #[test]
     fn renders_header_and_caret() {
         let r = d().render();
-        assert!(r.starts_with("crates/serve/src/handlers.rs:204:R4:"));
+        assert!(r.starts_with("crates/core/src/score.rs:204:R3:"));
         assert!(r.contains("204 |"));
         assert!(r.contains('^'));
     }
@@ -132,7 +132,7 @@ mod tests {
     fn json_is_wellformed_enough() {
         let j = render_report(&[d()], true);
         assert!(j.starts_with('[') && j.trim_end().ends_with(']'));
-        assert!(j.contains("\"rule\":\"R4\""));
+        assert!(j.contains("\"rule\":\"R3\""));
         assert!(j.contains("\"line\":204"));
     }
 

@@ -15,20 +15,28 @@
 //! | Rule | Contract | Introduced |
 //! |------|----------|------------|
 //! | R2 | **Interner ownership**: no fn takes `Sym` params alongside more than one `Document` source. See `crates/dom/src/intern.rs` module docs. | PR 4 |
-//! | R3 | **Pooled contexts**: bare `evaluate(` (one fresh `EvalContext` per call) is forbidden outside `crates/xpath/src/` and allowlisted cold paths; hot paths use `evaluate_with`/`extract_with`. | PR 2, hot since PR 4 |
-//! | R4 | **Panic-free serve paths**: `unwrap`/`expect`/`panic!`-family/slice-indexing are denied in the transitive call graph of the `wi-serve` request roots (`handle`, `handle_connection`, `worker_loop`), non-test code. | PR 6 |
+//! | R3 | **Pooled contexts**: bare `evaluate(` (one fresh `EvalContext` per call) is forbidden outside `crates/xpath/src/`; hot paths use `evaluate_with`/`extract_with`. | PR 2, hot since PR 4 |
 //! | R5 | **No lock across I/O**: a registry `RwLock` guard may not be live across a blocking socket call (`write_all`, `flush`, …) within a function body. | PR 6 |
-//! | R6 | **Forbidden drift**: lossy `as u32`-style casts in checksum/log code; `SystemTime::now()` outside designated modules; `std::process`/`std::net` outside the serve/eval layer. | PR 5/6 |
-//! | R7 | **Endpoint observability**: every `Endpoint` variant appears in `ALL` and `index()` (a variant missing from `ALL` silently drops out of `/metrics`), and no `span(…)` guard stays live across a registry lock acquisition in serve — handlers use the guard-free `record_span` form. | PR 8 |
+//! | R6 | **Forbidden drift**: `SystemTime::now()` outside designated modules; `std::process`/`std::net` outside the serve/eval layer. | PR 5/6 |
 //! | R9 | **Registry durability pairing**: in `crates/maintain/src/registry/`, every `fs::rename` / `File::create` / `create_new` call commits a directory entry and must share its function body with a `sync_dir` of the parent directory. See the durability note in `crates/maintain/src/registry/shard.rs`. | PR 10 |
+//!
+//! Two former rules are enforced by the compiler instead.  Panic-freedom
+//! in `wi-serve` (once R4) is a crate-wide clippy `deny` of
+//! `unwrap_used`, `expect_used`, `panic`, `indexing_slicing`,
+//! `unreachable`, `todo` and `unimplemented` in non-test code, and the
+//! lossy-cast ban in the registry's checksum/log code (once part of R6)
+//! is `clippy::cast_possible_truncation`; a proven-safe site carries an
+//! `#[expect(clippy::…, reason = "…")]`, which fails `-D warnings` once it
+//! suppresses nothing.  The serve `Endpoint` enum and its `ALL` list come
+//! from one macro list, so the check R7 made cannot fail.
 //!
 //! # Suppressing a finding
 //!
 //! Every suppression carries a mandatory reason:
 //!
 //! ```text
-//! // lint:allow(R4, index is bounds-checked two lines above)
-//! let b = buf[i];
+//! // lint:allow(R3, one-shot CLI path that scores a single query)
+//! let hits = evaluate(&query, &doc, root);
 //! ```
 //!
 //! A pragma applies to its own line, the next line, or — when placed on
@@ -57,101 +65,12 @@ use std::io;
 use std::path::Path;
 use syntax::SourceFile;
 
-/// Per-rule scoping knobs.  `Default` encodes the workspace contract;
-/// fixture tests override individual fields to point rules at themselves.
-#[derive(Debug, Clone)]
+/// Analyzer settings.  The rules' scopes are constants in their modules;
+/// the one switch is the CI `--deny-all` mode.
+#[derive(Debug, Clone, Default)]
 pub struct LintConfig {
-    /// R2: path prefix of the dom crate (receiver counts as a Document
-    /// source there).
-    pub r2_dom_prefix: String,
-    /// R3: path prefixes where bare `evaluate(` is allowed (the defining
-    /// crate).
-    pub r3_allow_prefixes: Vec<String>,
-    /// R3: individual allowlisted files (cold paths).
-    pub r3_allow_files: Vec<String>,
-    /// R3: banned bare call names.
-    pub r3_banned: Vec<String>,
-    /// R4: path prefix of the serve crate.
-    pub r4_crate_prefix: String,
-    /// R4: request-path root functions.
-    pub r4_roots: Vec<String>,
-    /// R5: path prefixes scanned for guard-across-I/O.
-    pub r5_prefixes: Vec<String>,
-    /// R5: idents that mark a lock acquisition as the shared registry.
-    pub r5_guard_sources: Vec<String>,
-    /// R5: blocking I/O call names.
-    pub r5_io_calls: Vec<String>,
-    /// R6: path suffixes of checksum/log code (lossy casts denied).
-    pub r6_checksum_files: Vec<String>,
-    /// R6: path prefixes where `SystemTime::now()` is designated.
-    pub r6_time_allow: Vec<String>,
-    /// R6: path prefixes where `std::process`/`std::net` are allowed.
-    pub r6_os_allow: Vec<String>,
-    /// R7: path suffixes of the file(s) defining the endpoint enum.
-    pub r7_endpoint_files: Vec<String>,
-    /// R7: name of the endpoint enum whose variants must appear in `ALL`
-    /// and `index()`.
-    pub r7_endpoint_enum: String,
-    /// R7: path prefixes scanned for span guards held across registry
-    /// locks.
-    pub r7_prefixes: Vec<String>,
-    /// R7: call names whose `let` binding is an RAII span guard.
-    pub r7_span_calls: Vec<String>,
-    /// R9: path prefixes of the registry's durable-layout tree.
-    pub r9_prefixes: Vec<String>,
-    /// R9: call names that commit a directory entry.
-    pub r9_calls: Vec<String>,
     /// Report `lint:allow` pragmas that suppress nothing (`--deny-all`).
     pub check_unused_allows: bool,
-}
-
-impl Default for LintConfig {
-    fn default() -> LintConfig {
-        let s = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        LintConfig {
-            r2_dom_prefix: "crates/dom/".into(),
-            r3_allow_prefixes: s(&["crates/xpath/src/"]),
-            r3_allow_files: s(&[]),
-            r3_banned: s(&["evaluate"]),
-            r4_crate_prefix: "crates/serve/src/".into(),
-            r4_roots: s(&["handle", "handle_connection", "worker_loop"]),
-            r5_prefixes: s(&["crates/serve/src/", "crates/maintain/src/"]),
-            r5_guard_sources: s(&["registry"]),
-            r5_io_calls: s(&[
-                "write_all",
-                "write_fmt",
-                "flush",
-                "sync_all",
-                "sync_data",
-                "read_exact",
-                "read_to_end",
-                "write_reply",
-                "shutdown",
-                "connect",
-                "accept",
-            ]),
-            r6_checksum_files: s(&[
-                "crates/maintain/src/registry/log.rs",
-                "crates/maintain/src/registry/compact.rs",
-            ]),
-            r6_time_allow: s(&["crates/serve/src/"]),
-            // `servebench/` drives the daemon over loopback, like `crates/eval/`.
-            r6_os_allow: s(&[
-                "crates/serve/",
-                "crates/eval/",
-                "crates/lint/",
-                "src/bin/",
-                "servebench/",
-            ]),
-            r7_endpoint_files: s(&["crates/serve/src/metrics.rs"]),
-            r7_endpoint_enum: "Endpoint".into(),
-            r7_prefixes: s(&["crates/serve/src/"]),
-            r7_span_calls: s(&["span"]),
-            r9_prefixes: s(&["crates/maintain/src/registry/"]),
-            r9_calls: s(&["rename", "create", "create_new"]),
-            check_unused_allows: false,
-        }
-    }
 }
 
 /// The result of one analyzer run.
@@ -182,13 +101,11 @@ pub fn run_with_config(root: &Path, cfg: &LintConfig) -> io::Result<LintReport> 
 /// suppression.  Exposed for the fixture battery.
 pub fn lint_files(files: &[SourceFile], cfg: &LintConfig) -> Vec<Diagnostic> {
     let mut raw: Vec<Diagnostic> = Vec::new();
-    rules::r2_interner::check(files, cfg, &mut raw);
-    rules::r3_context::check(files, cfg, &mut raw);
-    rules::r4_panic::check(files, cfg, &mut raw);
-    rules::r5_lock::check(files, cfg, &mut raw);
-    rules::r6_drift::check(files, cfg, &mut raw);
-    rules::r7_obs::check(files, cfg, &mut raw);
-    rules::r9_durability::check(files, cfg, &mut raw);
+    rules::r2_interner::check(files, &mut raw);
+    rules::r3_context::check(files, &mut raw);
+    rules::r5_lock::check(files, &mut raw);
+    rules::r6_drift::check(files, &mut raw);
+    rules::r9_durability::check(files, &mut raw);
 
     let mut out: Vec<Diagnostic> = Vec::new();
     for file in files {

@@ -39,11 +39,13 @@ fn main() -> ExitCode {
                      --deny-all    also fail on lint:allow pragmas that suppress nothing\n\n\
                      RULES\n\
                      R2  interner ownership        R3  pooled eval contexts\n\
-                     R4  panic-free serve paths    R5  no registry lock across I/O\n\
-                     R6  forbidden drift           R7  endpoint observability\n\
+                     R5  no registry lock across I/O\n\
+                     R6  forbidden drift (ambient time, OS surface)\n\
                      R9  registry durability pairing\n\n\
-                     Each rule is documented in crates/lint/src/lib.rs and the\n\
-                     README section \"Enforced invariants\"."
+                     Serve panic-freedom and the checksum cast ban are clippy\n\
+                     lints (cargo clippy -- -D warnings).  Each rule is\n\
+                     documented in crates/lint/src/lib.rs and the README\n\
+                     section \"Enforced invariants\"."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -62,7 +64,6 @@ fn main() -> ExitCode {
     };
     let cfg = LintConfig {
         check_unused_allows: deny_all,
-        ..LintConfig::default()
     };
     match run_with_config(&root, &cfg) {
         Ok(report) => {

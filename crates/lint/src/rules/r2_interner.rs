@@ -10,11 +10,14 @@
 use super::diag_at_fn;
 use crate::diag::Diagnostic;
 use crate::syntax::SourceFile;
-use crate::LintConfig;
 
-pub fn check(files: &[SourceFile], cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+/// Path prefix of the dom crate, where a `self` method's receiver counts
+/// as a `Document` source.
+const DOM_PREFIX: &str = "crates/dom/";
+
+pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     for file in files {
-        let in_dom = file.rel.starts_with(cfg.r2_dom_prefix.as_str());
+        let in_dom = file.rel.starts_with(DOM_PREFIX);
         for f in &file.functions {
             if f.is_test {
                 continue;

@@ -5,19 +5,21 @@
 //! is the only form allowed on paths that evaluate more than one query.
 //! Direct `evaluate(` calls are therefore forbidden outside the defining
 //! crate (`crates/xpath/src/`, which includes the reference evaluator and
-//! the canonicalizer) and explicitly allowlisted cold paths.  Test code is
+//! the canonicalizer); a cold path elsewhere carries a reasoned pragma.  Test code is
 //! exempt: clarity beats buffer reuse in assertions.
 
-use super::{diag_at, matches_prefix, matches_suffix};
+use super::{diag_at, matches_prefix};
 use crate::diag::Diagnostic;
 use crate::syntax::SourceFile;
-use crate::LintConfig;
 
-pub fn check(files: &[SourceFile], cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+/// Path prefixes where bare `evaluate(` is allowed: the defining crate.
+const ALLOW_PREFIXES: &[&str] = &["crates/xpath/src/"];
+/// Banned bare call names.
+const BANNED: &[&str] = &["evaluate"];
+
+pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     for file in files {
-        if matches_prefix(&file.rel, &cfg.r3_allow_prefixes)
-            || matches_suffix(&file.rel, &cfg.r3_allow_files)
-        {
+        if matches_prefix(&file.rel, ALLOW_PREFIXES) {
             continue;
         }
         for f in &file.functions {
@@ -28,7 +30,7 @@ pub fn check(files: &[SourceFile], cfg: &LintConfig, out: &mut Vec<Diagnostic>) 
                 if call.is_method || call.is_macro {
                     continue; // `prefix.evaluate(…)` is a different API
                 }
-                if cfg.r3_banned.iter().any(|b| b == &call.name) {
+                if BANNED.contains(&call.name.as_str()) {
                     out.push(diag_at(
                         file,
                         "R3",

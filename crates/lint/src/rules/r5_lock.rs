@@ -16,23 +16,41 @@
 use super::{diag_at, matches_prefix};
 use crate::diag::Diagnostic;
 use crate::syntax::{Function, SourceFile};
-use crate::LintConfig;
 
-pub fn check(files: &[SourceFile], cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+/// Path prefixes scanned for guard-across-I/O.
+const PREFIXES: &[&str] = &["crates/serve/src/", "crates/maintain/src/"];
+/// Idents that mark a lock acquisition as the shared registry.
+const GUARD_SOURCES: &[&str] = &["registry"];
+/// Blocking I/O call names.
+const IO_CALLS: &[&str] = &[
+    "write_all",
+    "write_fmt",
+    "flush",
+    "sync_all",
+    "sync_data",
+    "read_exact",
+    "read_to_end",
+    "write_reply",
+    "shutdown",
+    "connect",
+    "accept",
+];
+
+pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     for file in files {
-        if !matches_prefix(&file.rel, &cfg.r5_prefixes) {
+        if !matches_prefix(&file.rel, PREFIXES) {
             continue;
         }
         for f in &file.functions {
             if f.is_test {
                 continue;
             }
-            check_fn(file, f, cfg, out);
+            check_fn(file, f, out);
         }
     }
 }
 
-fn check_fn(file: &SourceFile, f: &Function, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+fn check_fn(file: &SourceFile, f: &Function, out: &mut Vec<Diagnostic>) {
     let Some((open, close)) = f.body else {
         return;
     };
@@ -98,7 +116,7 @@ fn check_fn(file: &SourceFile, f: &Function, cfg: &LintConfig, out: &mut Vec<Dia
                 {
                     read_write = true;
                 }
-                if cfg.r5_guard_sources.iter().any(|g| g == t) {
+                if GUARD_SOURCES.contains(&t) {
                     source = true;
                 }
             }
@@ -126,7 +144,7 @@ fn check_fn(file: &SourceFile, f: &Function, cfg: &LintConfig, out: &mut Vec<Dia
             if call.sig_index <= init_end || call.sig_index >= live_end {
                 continue;
             }
-            if !cfg.r5_io_calls.iter().any(|n| n == &call.name) {
+            if !IO_CALLS.contains(&call.name.as_str()) {
                 continue;
             }
             if call.receiver.as_deref() == Some(guard.as_str()) {

@@ -1,45 +1,45 @@
-//! R6 — forbidden drift: lossy casts, ambient time, ambient OS access.
+//! R6 — forbidden drift: ambient time, ambient OS access.
 //!
-//! Three drift modes that past PRs deliberately engineered out and that
+//! Two drift modes that past PRs deliberately engineered out and that
 //! creep back silently through refactors:
 //!
-//! 1. **Lossy casts in checksum/log code** (PR 5): the append-only version
-//!    logs checksum whole records with a 64-bit FxHash; an `as u32`-style
-//!    narrowing anywhere in that code path truncates the checksum domain
-//!    and weakens torn-write detection.
-//! 2. **Ambient time** (PR 5/6): `SystemTime::now()` makes replay and
+//! 1. **Ambient time** (PR 5/6): `SystemTime::now()` makes replay and
 //!    crash/recovery tests non-deterministic; clocks are injected.  Only
 //!    designated modules may read the wall clock.
-//! 3. **OS surface** (PR 6): `std::process` / `std::net` stay confined to
+//! 2. **OS surface** (PR 6): `std::process` / `std::net` stay confined to
 //!    the serve/eval layers (and the CLI binaries) so the core library
 //!    crates remain embeddable and deterministic.
+//!
+//! The third drift mode, lossy casts in the registry's checksum/log code,
+//! is `clippy::cast_possible_truncation`, denied in those files.
 
-use super::{diag_at, matches_prefix, matches_suffix};
+use super::{diag_at, matches_prefix};
 use crate::diag::Diagnostic;
 use crate::syntax::SourceFile;
-use crate::LintConfig;
 
-const NARROW_CASTS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
+/// Path prefixes where `SystemTime::now()` is designated.
+const TIME_ALLOW: &[&str] = &["crates/serve/src/"];
+/// Path prefixes where `std::process`/`std::net` are allowed.
+/// `servebench/` drives the daemon over loopback, like `crates/eval/`.
+const OS_ALLOW: &[&str] = &[
+    "crates/serve/",
+    "crates/eval/",
+    "crates/lint/",
+    "src/bin/",
+    "servebench/",
+];
 
-pub fn check(files: &[SourceFile], cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     for file in files {
-        let checksum_scope = matches_suffix(&file.rel, &cfg.r6_checksum_files);
-        let time_allowed = matches_prefix(&file.rel, &cfg.r6_time_allow);
-        let os_allowed = matches_prefix(&file.rel, &cfg.r6_os_allow);
-        if checksum_scope || !time_allowed || !os_allowed {
-            scan(file, cfg, checksum_scope, time_allowed, os_allowed, out);
+        let time_allowed = matches_prefix(&file.rel, TIME_ALLOW);
+        let os_allowed = matches_prefix(&file.rel, OS_ALLOW);
+        if !time_allowed || !os_allowed {
+            scan(file, time_allowed, os_allowed, out);
         }
     }
 }
 
-fn scan(
-    file: &SourceFile,
-    _cfg: &LintConfig,
-    checksum_scope: bool,
-    time_allowed: bool,
-    os_allowed: bool,
-    out: &mut Vec<Diagnostic>,
-) {
+fn scan(file: &SourceFile, time_allowed: bool, os_allowed: bool, out: &mut Vec<Diagnostic>) {
     let n = file.sig.len();
     for k in 0..n {
         let byte = file.sig_start(k);
@@ -47,18 +47,6 @@ fn scan(
             continue;
         }
         let t = file.sig_text(k);
-        if checksum_scope && t == "as" && NARROW_CASTS.contains(&file.sig_text(k + 1)) {
-            out.push(diag_at(
-                file,
-                "R6",
-                k,
-                format!(
-                    "lossy `as {}` cast in checksum/log code truncates the value \
-                     domain; keep checksum arithmetic at full width",
-                    file.sig_text(k + 1)
-                ),
-            ));
-        }
         if !time_allowed
             && t == "SystemTime"
             && file.sig_text(k + 1) == ":"

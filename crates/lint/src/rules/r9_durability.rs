@@ -19,11 +19,15 @@
 use super::{diag_at, matches_prefix};
 use crate::diag::Diagnostic;
 use crate::syntax::SourceFile;
-use crate::LintConfig;
 
-pub fn check(files: &[SourceFile], cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+/// Path prefixes of the registry's durable-layout tree.
+const PREFIXES: &[&str] = &["crates/maintain/src/registry/"];
+/// Call names that commit a directory entry.
+const CALLS: &[&str] = &["rename", "create", "create_new"];
+
+pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     for file in files {
-        if !matches_prefix(&file.rel, &cfg.r9_prefixes) {
+        if !matches_prefix(&file.rel, PREFIXES) {
             continue;
         }
         for f in &file.functions {
@@ -37,7 +41,7 @@ pub fn check(files: &[SourceFile], cfg: &LintConfig, out: &mut Vec<Diagnostic>) 
                 continue;
             }
             for call in &calls {
-                if !cfg.r9_calls.iter().any(|n| n == &call.name) {
+                if !CALLS.contains(&call.name.as_str()) {
                     continue;
                 }
                 out.push(diag_at(

@@ -2,8 +2,7 @@
 //!
 //! This is not a Rust parser: it is a structural scanner that recovers
 //! exactly what the invariant rules need — function boundaries and
-//! signatures, intra-file/intra-crate call sites, slice-indexing sites,
-//! test regions (`#[cfg(test)]` modules, `#[test]` functions) and
+//! signatures, call sites, test regions (`#[cfg(test)]` modules, `#[test]` functions) and
 //! `lint:allow` pragmas.  It is deliberately conservative: anything it
 //! cannot classify it skips, and bracket matching never assumes
 //! well-formed input.
@@ -46,19 +45,7 @@ pub struct Call {
     /// Receiver identifier for method calls (`x` in `x.f()`), when the
     /// receiver is a plain identifier.
     pub receiver: Option<String>,
-    /// Leading path segment for qualified calls (`wi_xpath` in
-    /// `wi_xpath::evaluate`), if any.
-    pub path_head: Option<String>,
     /// Index into the significant-token list.
-    pub sig_index: usize,
-    /// 1-based source line.
-    pub line: u32,
-}
-
-/// A slice/array indexing site (`expr[…]` in expression position).
-#[derive(Debug, Clone)]
-pub struct IndexSite {
-    /// Index into the significant-token list of the `[`.
     pub sig_index: usize,
     /// 1-based source line.
     pub line: u32,
@@ -94,9 +81,6 @@ pub struct Function {
     pub body: Option<(usize, usize)>,
     /// Parameters (excluding the receiver).
     pub params: Vec<Param>,
-    /// The `impl` block's self type, when the fn sits inside one
-    /// (`ChunkedWriter` for `impl ChunkedWriter { fn start(…) }`).
-    pub impl_type: Option<String>,
 }
 
 /// A lexed + scanned source file.
@@ -365,13 +349,8 @@ impl SourceFile {
         let mut pending_test = false;
         let mut functions = Vec::new();
         let mut test_ranges = Vec::new();
-        // Enclosing `impl` blocks: (close sig-index, self type).
-        let mut impl_stack: Vec<(usize, String)> = Vec::new();
         let mut k = 0usize;
         while k < self.sig.len() {
-            while impl_stack.last().is_some_and(|&(close, _)| k >= close) {
-                impl_stack.pop();
-            }
             let text = self.sig_text(k).to_string();
             match text.as_str() {
                 "#" => {
@@ -392,8 +371,7 @@ impl SourceFile {
                     }
                 }
                 "fn" => {
-                    let impl_type = impl_stack.last().map(|(_, t)| t.clone());
-                    if let Some((f, next)) = self.parse_fn(k, pending_test, impl_type) {
+                    if let Some((f, next)) = self.parse_fn(k, pending_test) {
                         if f.is_test {
                             if let Some((body_open, body_close)) = f.body {
                                 test_ranges
@@ -425,29 +403,6 @@ impl SourceFile {
                         let close = self.close_of(open).unwrap_or(open);
                         if pending_test {
                             test_ranges.push((self.sig_start(open), self.sig_start(close)));
-                        }
-                        if text == "impl" {
-                            // Self type: last ident at angle-depth 0 before
-                            // the brace (`Doc` in `impl Trait for Doc<'a>`).
-                            let mut angle = 0i32;
-                            let mut ty = None;
-                            for i in k + 1..open {
-                                match self.sig_text(i) {
-                                    "<" => angle += 1,
-                                    ">" => angle -= 1,
-                                    "where" => break,
-                                    t if angle == 0
-                                        && self.sig_kind(i) == Some(TokenKind::Ident)
-                                        && !is_keyword(t) =>
-                                    {
-                                        ty = Some(t.to_string());
-                                    }
-                                    _ => {}
-                                }
-                            }
-                            if let Some(ty) = ty {
-                                impl_stack.push((close, ty));
-                            }
                         }
                         pending_test = false;
                         // Continue scanning *inside* the block.
@@ -491,12 +446,7 @@ impl SourceFile {
     /// Parses a `fn` item starting at sig-index `k` (the `fn` keyword).
     /// Returns the function and the sig-index to continue scanning from
     /// (inside the body, so nested items are found too).
-    fn parse_fn(
-        &self,
-        k: usize,
-        pending_test: bool,
-        impl_type: Option<String>,
-    ) -> Option<(Function, usize)> {
+    fn parse_fn(&self, k: usize, pending_test: bool) -> Option<(Function, usize)> {
         let name = self.sig_text(k + 1).to_string();
         if name.is_empty()
             || !self
@@ -582,7 +532,6 @@ impl SourceFile {
                 line,
                 body,
                 params,
-                impl_type,
             },
             next,
         ))
@@ -676,59 +625,16 @@ impl SourceFile {
             } else {
                 None
             };
-            let path_head = if !is_method && prev == ":" && k >= 3 && self.sig_text(k - 2) == ":" {
-                let head = self.sig_text(k - 3);
-                if self.sig_kind(k - 3) == Some(TokenKind::Ident) {
-                    Some(head.to_string())
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
             calls.push(Call {
                 name: name.to_string(),
                 is_method,
                 is_macro,
                 receiver,
-                path_head,
                 sig_index: k,
                 line: self.sig_line(k),
             });
         }
         calls
-    }
-
-    /// Extracts slice-indexing sites (`expr[…]`) from a function body.
-    pub fn index_sites_in(&self, f: &Function) -> Vec<IndexSite> {
-        let Some((open, close)) = f.body else {
-            return Vec::new();
-        };
-        let mut sites = Vec::new();
-        for k in open + 1..close {
-            if self.sig_text(k) != "[" {
-                continue;
-            }
-            let prev_kind = if k > 0 { self.sig_kind(k - 1) } else { None };
-            let prev = if k > 0 { self.sig_text(k - 1) } else { "" };
-            let indexable = match prev_kind {
-                Some(TokenKind::Ident) => !is_keyword(prev),
-                Some(TokenKind::Punct) => prev == ")" || prev == "]",
-                _ => false,
-            };
-            if !indexable {
-                continue;
-            }
-            // `name![…]` macro bracket args are not indexing.
-            if prev == "]" && k >= 2 && self.sig_text(k - 2) == "!" {
-                continue;
-            }
-            sites.push(IndexSite {
-                sig_index: k,
-                line: self.sig_line(k),
-            });
-        }
-        sites
     }
 }
 
@@ -740,8 +646,7 @@ fn is_test_attr(attr: &[&str]) -> bool {
     attr.last() == Some(&"test")
 }
 
-/// Keywords that can be followed by `(` without being calls, plus binding
-/// forms excluded from indexing detection.
+/// Keywords that can be followed by `(` without being calls.
 fn is_keyword(s: &str) -> bool {
     matches!(
         s,
@@ -851,10 +756,6 @@ fn f(x: &[u8]) {
     let b = prefix.evaluate(root, q);
     let c = wi_xpath::evaluate(q, doc, root);
     panic!("boom");
-    let d = x[0];
-    let e = &x[..2];
-    let v = vec![1, 2];
-    let arr: [u8; 2] = [0, 1];
 }
 "#;
         let f0 = parse(src);
@@ -865,13 +766,8 @@ fn f(x: &[u8]) {
             .filter(|c| c.name == "evaluate" && !c.is_method)
             .collect();
         assert_eq!(bare.len(), 2);
-        assert!(bare
-            .iter()
-            .any(|c| c.path_head.as_deref() == Some("wi_xpath")));
         assert!(calls.iter().any(|c| c.name == "evaluate" && c.is_method));
         assert!(calls.iter().any(|c| c.name == "panic" && c.is_macro));
-        let sites = f0.index_sites_in(f1);
-        assert_eq!(sites.len(), 2, "x[0] and x[..2], not vec![…] nor [u8; 2]");
     }
 
     #[test]
@@ -879,7 +775,7 @@ fn f(x: &[u8]) {
         let src = r#"
 // lint:allow(R3, deprecated cold shim kept for API compatibility)
 fn a() {}
-// lint:allow(R4)
+// lint:allow(R5)
 fn b() {}
 "#;
         let f = parse(src);

@@ -1,13 +1,5 @@
-//! R6 clean twin: checksum arithmetic stays at full width, the clock and
-//! the process id are injected by the caller.
-
-pub fn checksum(record: &[u8]) -> u64 {
-    let mut hash = 0u64;
-    for &byte in record {
-        hash = hash.wrapping_mul(31).wrapping_add(u64::from(byte));
-    }
-    hash
-}
+//! R6 clean twin: the clock and the process id are injected by the
+//! caller.
 
 pub fn stamp(clock_us: u64) -> u64 {
     clock_us

@@ -1,14 +1,5 @@
-//! R6 fixture: a lossy cast in checksum code, ambient time, ambient OS
-//! access.  Linted as if it were `crates/maintain/src/registry/log.rs`.
-
-pub fn checksum(record: &[u8]) -> u64 {
-    let mut hash = 0u64;
-    for &byte in record {
-        hash = hash.wrapping_mul(31).wrapping_add(u64::from(byte));
-    }
-    let folded = hash as u32; //~ R6
-    u64::from(folded)
-}
+//! R6 fixture: ambient time, ambient OS access.  Linted as if it were
+//! `crates/maintain/src/registry/log.rs`.
 
 pub fn stamp() -> bool {
     let now = std::time::SystemTime::now(); //~ R6

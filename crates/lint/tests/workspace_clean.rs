@@ -11,7 +11,6 @@ fn workspace_has_no_violations_and_no_stale_pragmas() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let cfg = LintConfig {
         check_unused_allows: true,
-        ..LintConfig::default()
     };
     let files = load_workspace(&root).expect("workspace readable");
     assert!(

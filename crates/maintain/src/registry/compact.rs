@@ -34,6 +34,10 @@
 //! rewritten, because recovery decodes every line still on disk and would
 //! truncate its replay prefix at a dangling digest.
 
+// Checksums and offsets here are full-width: a narrowing cast would
+// truncate the checksum domain and weaken torn-write detection.
+#![deny(clippy::cast_possible_truncation)]
+
 use super::log::{decode_line_meta, RecordKind, RecordMeta, RegistryError};
 use super::objects::ObjectStore;
 use super::shard::{

@@ -37,6 +37,10 @@
 //! record that violates this is treated as corruption (the valid prefix
 //! ends before it).
 
+// Checksums and offsets here are full-width: a narrowing cast would
+// truncate the checksum domain and weaken torn-write detection.
+#![deny(clippy::cast_possible_truncation)]
+
 use super::objects::ObjectStore;
 use crate::lifecycle::WrapperState;
 use crate::verify::{AnchorCarrier, LastKnownGood};
@@ -320,6 +324,7 @@ fn json_i64(value: Option<&JsonValue>, what: &str) -> Result<i64, String> {
         .and_then(JsonValue::as_f64)
         .ok_or_else(|| format!("missing {what}"))?;
     if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        #[expect(clippy::cast_possible_truncation, reason = "|n| < 9e15 checked above")]
         Ok(n as i64)
     } else {
         Err(format!("non-integral {what}"))

@@ -7,11 +7,11 @@
 //! ## The three surfaces
 //!
 //! * **Tracing** ([`trace`]): [`Span`](trace::Record)/event records with
-//!   monotonic `Instant`-anchored timestamps ([`clock`]), RAII
-//!   [`span`] guards and guard-free
-//!   [`record_span`], one bounded global [journal](journal::Journal) every
-//!   record is pushed into, and a top-K slow-span log.  Surfaced by
-//!   the daemon as `GET /debug/trace` (NDJSON) and `GET /debug/slow`.
+//!   monotonic `Instant`-anchored timestamps ([`clock`]), spans recorded
+//!   with [`record_span`] from an explicit start instant, one bounded
+//!   global [journal](journal::Journal) every record is pushed into, and a
+//!   top-K slow-span log.  Surfaced by the daemon as `GET /debug/trace`
+//!   (NDJSON) and `GET /debug/slow`.
 //! * **Metrics** ([`metrics`]): named counters/gauges/histograms with
 //!   label sets behind `Arc`-backed handles; rendered (and parsed back)
 //!   in Prometheus text exposition format.  The process-wide
@@ -24,7 +24,7 @@
 //! ## The disabled-path overhead contract
 //!
 //! Tracing defaults to [`Mode::Off`](trace::Mode).  Every tracing entry
-//! point ([`trace::span`], [`trace::record_span`], [`trace::event`])
+//! point ([`trace::record_span`], [`trace::event`])
 //! begins with a **single relaxed atomic load** and returns immediately
 //! when tracing is off — no clock read, no allocation, no thread-local
 //! touch.  The contract, gated in CI via `BENCH_obs.json`: **< 2%
@@ -59,5 +59,5 @@ pub use metrics::{
 };
 pub use trace::{
     event, journal_stats, mode, parse_mode, recent, record_span, set_mode, set_slow_threshold_us,
-    slow_ndjson, slow_top, span, trace_ndjson, Mode, Record, RecordKind, SpanGuard,
+    slow_ndjson, slow_top, trace_ndjson, Mode, Record, RecordKind,
 };

@@ -4,7 +4,7 @@
 //! # The disabled-path contract
 //!
 //! Tracing defaults to **off**, and the off path must be invisible on hot
-//! paths: [`span`] and [`record_span`] start with a **single relaxed
+//! paths: [`record_span`] and [`event`] start with a **single relaxed
 //! atomic load** of the mode and return immediately when it is zero — no
 //! allocation, no clock read, no thread-local access.  The `maintain`
 //! bench budget for the disabled path is <2% overhead (see
@@ -222,61 +222,12 @@ fn record_slow(record: &Record) {
     slow.truncate(SLOW_CAPACITY);
 }
 
-/// An RAII span: created by [`span`], emits a [`RecordKind::Span`] record
-/// on drop.  When tracing was off at creation the guard is inert (a
-/// `None`), so the drop costs nothing.
-///
-/// **Serve-handler discipline (wi-lint R7):** do not hold a `SpanGuard`
-/// across a registry lock acquisition — use [`record_span`] with an
-/// explicit start instant instead, so guard liveness never overlaps lock
-/// liveness.
-#[must_use = "the span measures until the guard drops"]
-#[derive(Debug)]
-pub struct SpanGuard {
-    active: Option<(&'static str, Instant)>,
-}
-
-impl SpanGuard {
-    /// A guard that records nothing (the disabled path).
-    pub fn inert() -> SpanGuard {
-        SpanGuard { active: None }
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some((name, started)) = self.active.take() {
-            let dur = duration_us(started);
-            emit(
-                RecordKind::Span,
-                name,
-                clock::offset_us_of(started),
-                dur,
-                &[],
-            );
-        }
-    }
-}
-
 fn duration_us(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Opens a span; the returned guard emits the record when dropped.
-/// Disabled path: one relaxed load, no clock read.
-#[inline]
-pub fn span(name: &'static str) -> SpanGuard {
-    if !should_record() {
-        return SpanGuard::inert();
-    }
-    SpanGuard {
-        active: Some((name, Instant::now())),
-    }
-}
-
-/// Records a completed span from an explicit start instant — the
-/// guard-free form serve handlers use so no span guard is ever live
-/// across a registry lock (wi-lint R7).  Disabled path: one relaxed load.
+/// Records a completed span from an explicit start instant.  Disabled
+/// path: one relaxed load, no clock read.
 #[inline]
 pub fn record_span(name: &'static str, started: Instant, fields: &[(&'static str, u64)]) {
     if !should_record() {
@@ -377,7 +328,6 @@ mod tests {
         let _mode = mode_lock();
         set_mode(Mode::Off);
         for _ in 0..100 {
-            let _g = span("trace.test.disabled");
             record_span("trace.test.disabled", Instant::now(), &[]);
             event("trace.test.disabled", &[]);
         }
@@ -390,14 +340,12 @@ mod tests {
     fn spans_events_and_fields_round_trip_through_the_journal() {
         let _mode = mode_lock();
         set_mode(Mode::On);
-        {
-            let _g = span("trace.test.guard");
-        }
+        record_span("trace.test.span", Instant::now(), &[]);
         event("trace.test.event", &[("k", 7)]);
         set_mode(Mode::Off);
 
         let records = recent(usize::MAX);
-        let g = records.iter().find(|r| r.name == "trace.test.guard");
+        let g = records.iter().find(|r| r.name == "trace.test.span");
         assert!(g.is_some_and(|r| r.kind == RecordKind::Span));
         let e = records.iter().find(|r| r.name == "trace.test.event");
         assert!(e.is_some_and(|r| r.kind == RecordKind::Event && r.fields == vec![("k", 7)]));

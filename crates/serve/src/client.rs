@@ -101,7 +101,10 @@ pub fn parse_response(raw: &[u8]) -> Result<ClientResponse, String> {
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
         .ok_or("response has no header terminator")?;
-    let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| "response head is not UTF-8")?;
+    let head = raw
+        .get(..head_end)
+        .and_then(|head| std::str::from_utf8(head).ok())
+        .ok_or("response head is not UTF-8")?;
     let mut lines = head.split("\r\n");
     let status_line = lines.next().ok_or("empty response head")?;
     let status: u16 = status_line
@@ -116,7 +119,9 @@ pub fn parse_response(raw: &[u8]) -> Result<ClientResponse, String> {
             .ok_or_else(|| format!("bad header line {line:?}"))?;
         headers.push((name.trim().to_string(), value.trim().to_string()));
     }
-    let raw_body = &raw[head_end + 4..];
+    let raw_body = raw
+        .get(head_end + 4..)
+        .ok_or("response has no header terminator")?;
     let chunked = headers.iter().any(|(n, v)| {
         n.eq_ignore_ascii_case("transfer-encoding") && v.eq_ignore_ascii_case("chunked")
     });
@@ -140,18 +145,38 @@ fn decode_chunked(mut raw: &[u8]) -> Result<Vec<u8>, String> {
             .windows(2)
             .position(|w| w == b"\r\n")
             .ok_or("truncated chunk size line")?;
-        let size_line =
-            std::str::from_utf8(&raw[..line_end]).map_err(|_| "chunk size is not UTF-8")?;
+        let size_line = raw
+            .get(..line_end)
+            .and_then(|line| std::str::from_utf8(line).ok())
+            .ok_or("chunk size is not UTF-8")?;
         let size = usize::from_str_radix(size_line.trim(), 16)
             .map_err(|_| format!("bad chunk size {size_line:?}"))?;
-        raw = &raw[line_end + 2..];
+        raw = raw.get(line_end + 2..).ok_or("truncated chunk size line")?;
         if size == 0 {
             return Ok(body);
         }
-        if raw.len() < size + 2 {
+        // `size` comes off the wire: a hex line can claim up to usize::MAX.
+        let (Some(chunk), Some(rest)) = (
+            raw.get(..size),
+            size.checked_add(2).and_then(|framed| raw.get(framed..)),
+        ) else {
             return Err("truncated chunk".to_string());
-        }
-        body.extend_from_slice(&raw[..size]);
-        raw = &raw[size + 2..];
+        };
+        body.extend_from_slice(chunk);
+        raw = rest;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn oversized_chunk_size_is_an_error_not_a_panic() {
+        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\nab\r\n0\r\n\r\n";
+        assert_eq!(
+            parse_response(raw).err().as_deref(),
+            Some("truncated chunk")
+        );
     }
 }

@@ -79,8 +79,6 @@ pub fn handle(state: &ServeState, cx: &mut EvalContext, request: &Request) -> (E
     state
         .metrics
         .record(endpoint, reply.status(), started.elapsed());
-    // Guard-free span form: nothing stays live across a handler's
-    // registry-lock acquisition (the R7 discipline).
     wi_obs::record_span(
         "serve.request",
         started,

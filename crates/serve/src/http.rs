@@ -119,7 +119,10 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usi
             Ok(None) // torn head: wait for more bytes
         };
     };
-    // lint:allow(R4, head_len comes from find_head_end which only returns positions inside buf)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "head_len comes from find_head_end which only returns positions inside buf"
+    )]
     let head = std::str::from_utf8(&buf[..head_len])
         .map_err(|_| HttpError::new(400, "request head is not valid UTF-8"))?;
 
@@ -177,16 +180,21 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usi
     if buf.len() < total {
         return Ok(None); // body not fully buffered yet
     }
-    let mut request = request;
-    // lint:allow(R4, the early return above guarantees buf.len() >= total >= body_start)
-    request.body = buf[body_start..total].to_vec();
-    Ok(Some((request, total)))
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the early return above guarantees buf.len() >= total >= body_start"
+    )]
+    let body = buf[body_start..total].to_vec();
+    Ok(Some((Request { body, ..request }, total)))
 }
 
 /// Byte length of the head (up to but excluding `\r\n\r\n`), if the
 /// terminator lies within the first `max + 4` bytes.
 fn find_head_end(buf: &[u8], max: usize) -> Option<usize> {
-    // lint:allow(R4, the range end is clamped with buf.len().min)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the range end is clamped with buf.len().min"
+    )]
     let window = &buf[..buf.len().min(max + 4)];
     window
         .windows(4)

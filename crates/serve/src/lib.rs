@@ -34,6 +34,23 @@
 //! `tests/serve_daemon.rs` in the workspace root proves exactly that.
 
 #![deny(missing_docs)]
+// A panic in a worker kills its connection and can poison the registry
+// lock, so non-test code turns every failure into a typed 4xx/5xx
+// response.  A bounds proof that the compiler cannot see is an
+// `#[expect(clippy::…, reason = "…")]` at the site; one that goes stale
+// fails `-D warnings`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod client;
 pub mod handlers;

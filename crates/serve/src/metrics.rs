@@ -3,8 +3,8 @@
 //! The daemon's counters live in a per-daemon [`wi_obs::Registry`] (its
 //! own instance, not [`wi_obs::Registry::global`], so parallel daemons in
 //! one test process never cross-count).  Handles are resolved once at
-//! construction — one per endpoint via the exhaustive `Endpoint::index`
-//! — and every record afterwards is a relaxed `fetch_add`: per-endpoint
+//! construction — one per endpoint via the dense `Endpoint::index` —
+//! and every record afterwards is a relaxed `fetch_add`: per-endpoint
 //! request and error counts, fixed-bucket latency histograms, per-shard
 //! request counts (the `shard_of` partition made observable), and gauges
 //! refreshed at scrape time from the registry's
@@ -23,88 +23,63 @@ use wi_obs::{Counter, Gauge, Histogram, Registry};
 
 pub use wi_obs::LATENCY_BUCKETS_US;
 
-/// The endpoint label attached to every recorded request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Endpoint {
+/// Declares [`Endpoint`] with `ALL` and `name()` from one list, so a
+/// variant cannot be missing from `ALL` (and hence from `/metrics`).
+macro_rules! endpoints {
+    ($($(#[$doc:meta])* $variant:ident => $label:literal,)*) => {
+        /// The endpoint label attached to every recorded request.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Endpoint {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Endpoint {
+            /// Every endpoint, in exposition order.
+            pub const ALL: [Endpoint; [$($label),*].len()] = [$(Endpoint::$variant),*];
+
+            /// The exposition label of this endpoint.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Endpoint::$variant => $label,)*
+                }
+            }
+        }
+    };
+}
+
+endpoints! {
     /// `POST /extract/{site}`.
-    Extract,
+    Extract => "extract",
     /// `POST /extract/batch`.
-    ExtractBatch,
+    ExtractBatch => "extract_batch",
     /// `POST /induce/{site}`.
-    Induce,
+    Induce => "induce",
     /// `POST /maintain/{site}`.
-    Maintain,
+    Maintain => "maintain",
     /// `GET /healthz`.
-    Healthz,
+    Healthz => "healthz",
     /// `GET /sites/{site}`.
-    Site,
+    Site => "site",
     /// `GET /metrics`.
-    Metrics,
+    Metrics => "metrics",
     /// `GET /debug/trace`.
-    DebugTrace,
+    DebugTrace => "debug_trace",
     /// `GET /debug/slow`.
-    DebugSlow,
+    DebugSlow => "debug_slow",
     /// `POST /admin/shutdown`.
-    Shutdown,
+    Shutdown => "shutdown",
     /// `POST /admin/snapshot`.
-    Snapshot,
+    Snapshot => "snapshot",
     /// Unrouted or malformed requests.
-    Other,
+    Other => "other",
 }
 
 impl Endpoint {
-    /// Every endpoint, in exposition order.
-    pub const ALL: [Endpoint; 12] = [
-        Endpoint::Extract,
-        Endpoint::ExtractBatch,
-        Endpoint::Induce,
-        Endpoint::Maintain,
-        Endpoint::Healthz,
-        Endpoint::Site,
-        Endpoint::Metrics,
-        Endpoint::DebugTrace,
-        Endpoint::DebugSlow,
-        Endpoint::Shutdown,
-        Endpoint::Snapshot,
-        Endpoint::Other,
-    ];
-
-    /// The exposition label of this endpoint.
-    pub fn name(self) -> &'static str {
-        match self {
-            Endpoint::Extract => "extract",
-            Endpoint::ExtractBatch => "extract_batch",
-            Endpoint::Induce => "induce",
-            Endpoint::Maintain => "maintain",
-            Endpoint::Healthz => "healthz",
-            Endpoint::Site => "site",
-            Endpoint::Metrics => "metrics",
-            Endpoint::DebugTrace => "debug_trace",
-            Endpoint::DebugSlow => "debug_slow",
-            Endpoint::Shutdown => "shutdown",
-            Endpoint::Snapshot => "snapshot",
-            Endpoint::Other => "other",
-        }
-    }
-
-    /// Dense index into per-endpoint handle arrays.  An exhaustive match
-    /// (not a `position().expect()`): adding a variant without extending
-    /// `ALL` is a compile error here, not a request-path panic.
+    /// Dense index into per-endpoint handle arrays: the variants carry no
+    /// explicit discriminants, so this is the declaration order, which is
+    /// also `ALL`'s order.
     fn index(self) -> usize {
-        match self {
-            Endpoint::Extract => 0,
-            Endpoint::ExtractBatch => 1,
-            Endpoint::Induce => 2,
-            Endpoint::Maintain => 3,
-            Endpoint::Healthz => 4,
-            Endpoint::Site => 5,
-            Endpoint::Metrics => 6,
-            Endpoint::DebugTrace => 7,
-            Endpoint::DebugSlow => 8,
-            Endpoint::Shutdown => 9,
-            Endpoint::Snapshot => 10,
-            Endpoint::Other => 11,
-        }
+        self as usize
     }
 }
 
@@ -222,8 +197,11 @@ impl Metrics {
     }
 
     /// The handle set of one endpoint.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Endpoint::index maps every variant onto 0..ALL.len(), the array's exact length"
+    )]
     pub fn counters(&self, endpoint: Endpoint) -> &EndpointCounters {
-        // lint:allow(R4, Endpoint::index is an exhaustive match onto 0..ALL.len(), the array's exact length)
         &self.endpoints[endpoint.index()]
     }
 

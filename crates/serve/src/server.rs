@@ -137,15 +137,13 @@ impl Server {
                 thread::Builder::new()
                     .name(format!("wi-serve-worker-{index}"))
                     .spawn(move || worker_loop(&state, &rx))
-                    .expect("spawn worker thread")
             })
-            .collect();
+            .collect::<std::io::Result<Vec<_>>>()?;
         let acceptor = {
             let state = Arc::clone(&state);
             thread::Builder::new()
                 .name("wi-serve-acceptor".to_string())
-                .spawn(move || accept_loop(&state, &listener, tx))
-                .expect("spawn acceptor thread")
+                .spawn(move || accept_loop(&state, &listener, tx))?
         };
         Ok(ServerHandle {
             addr,
@@ -184,6 +182,10 @@ impl ServerHandle {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the acceptor and every worker were joined above, so no thread holds the state"
+        )]
         let state = Arc::try_unwrap(self.state)
             .ok()
             .expect("all worker threads joined");
@@ -303,7 +305,10 @@ fn handle_connection(state: &ServeState, cx: &mut EvalContext, mut stream: TcpSt
             Ok(0) => return,
             Ok(n) => {
                 idle_reads = 0;
-                // lint:allow(R4, Read::read returns n <= chunk.len() by contract)
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "Read::read returns n <= chunk.len() by contract"
+                )]
                 buf.extend_from_slice(&chunk[..n]);
             }
             Err(e)
