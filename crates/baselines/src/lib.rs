@@ -20,6 +20,8 @@
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
+// The workspace contracts listed in clippy.toml.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod canonical;
 pub mod devtools;

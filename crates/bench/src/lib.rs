@@ -6,6 +6,8 @@
 //! This library only re-exports the pieces the benches share.
 
 #![deny(missing_docs)]
+// The workspace contracts listed in clippy.toml.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub use wi_eval::Scale;
 

@@ -229,11 +229,19 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`parse_json`] accepts (serde_json's
+/// default).  The parser recurses once per level, and so does dropping the
+/// parsed value, so without a cap a request body of a million `[` would
+/// overflow a worker's stack and abort the process.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document (a single value followed by optional whitespace).
+/// Arrays and objects nested more than 128 levels deep are an error.
 pub fn parse_json(input: &str) -> Result<JsonValue, JsonError> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -247,6 +255,8 @@ pub fn parse_json(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -291,11 +301,26 @@ impl Parser<'_> {
             Some(b't') if self.literal("true") => Ok(JsonValue::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
@@ -511,6 +536,29 @@ mod tests {
         }
         let err = parse_json("{\"a\": }").unwrap_err();
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        let objects =
+            |levels: usize| format!("{}null{}", "{\"k\":".repeat(levels), "}".repeat(levels));
+        for nested in [arrays, objects] {
+            assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+            let err = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_million_open_brackets_fail_on_a_default_worker_stack() {
+        // Without the cap this recursed a million frames deep and aborted
+        // the process with a stack overflow.
+        let worker = std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(|| parse_json(&"[".repeat(1_000_000)).is_err())
+            .unwrap();
+        assert!(worker.join().unwrap());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use wi_dom::{Document, NodeId};
 use wi_scoring::Counts;
-use wi_xpath::{evaluate, Query};
 
 /// A query sample `⟨u, V⟩` over a document: a context node `u` and a
 /// non-empty set of annotated target nodes `V`.
@@ -37,13 +36,6 @@ impl<'a> Sample<'a> {
             context,
             targets,
         }
-    }
-
-    /// Evaluates a query on this sample and returns its accuracy counts.
-    pub fn evaluate_counts(&self, query: &Query) -> Counts {
-        // lint:allow(R3, one-shot scoring helper used only by unit tests; induction's hot loop scores candidates through the shared-prefix evaluator)
-        let result = evaluate(query, self.doc, self.context);
-        counts_against(&result, self.targets)
     }
 
     /// Returns `true` if every target is a live node of the document.
@@ -129,7 +121,7 @@ pub fn counts_against(result: &[NodeId], targets: &[NodeId]) -> Counts {
 mod tests {
     use super::*;
     use wi_dom::parse_html;
-    use wi_xpath::parse_query;
+    use wi_xpath::{evaluate, parse_query};
 
     #[test]
     fn counts_computation() {
@@ -139,17 +131,16 @@ mod tests {
         let sample = Sample::from_root(&doc, &sample_targets);
         assert!(sample.is_well_formed());
 
-        let all = parse_query("descendant::li").unwrap();
-        let counts = sample.evaluate_counts(&all);
-        assert_eq!(counts, Counts::new(2, 1, 0));
-
-        let one = parse_query("descendant::li[1]").unwrap();
-        let counts = sample.evaluate_counts(&one);
-        assert_eq!(counts, Counts::new(1, 0, 1));
-
-        let none = parse_query("descendant::table").unwrap();
-        let counts = sample.evaluate_counts(&none);
-        assert_eq!(counts, Counts::new(0, 0, 2));
+        let counts = |xpath: &str| {
+            let query = parse_query(xpath).unwrap();
+            counts_against(
+                &evaluate(&query, sample.doc, sample.context),
+                sample.targets,
+            )
+        };
+        assert_eq!(counts("descendant::li"), Counts::new(2, 1, 0));
+        assert_eq!(counts("descendant::li[1]"), Counts::new(1, 0, 1));
+        assert_eq!(counts("descendant::table"), Counts::new(0, 0, 2));
     }
 
     #[test]

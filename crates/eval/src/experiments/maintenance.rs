@@ -157,17 +157,6 @@ struct TaskRun {
 /// Shards of the experiment's persisted registry.
 const REGISTRY_SHARDS: usize = 8;
 
-/// A unique scratch directory for the run's persisted registry.
-fn registry_scratch_dir() -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    std::env::temp_dir().join(format!(
-        "wi-eval-maintenance-registry-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 /// Runs the experiment.
 pub fn run(scale: &Scale) -> MaintenanceReport {
     let mut tasks: Vec<WrapperTask> = single_node_tasks(scale.single_tasks);
@@ -177,7 +166,7 @@ pub fn run(scale: &Scale) -> MaintenanceReport {
     // the experiment exercises the production storage path (sharded
     // append-only logs in a scratch directory) and closes with a recovery
     // that must restore every committed revision.
-    let scratch = registry_scratch_dir();
+    let scratch = super::registry_scratch_dir("maintenance");
     let _ = std::fs::remove_dir_all(&scratch);
     let mut registry = PersistentRegistry::create(&scratch, REGISTRY_SHARDS)
         .expect("scratch registry directory is writable");

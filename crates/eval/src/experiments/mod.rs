@@ -28,6 +28,22 @@ use wi_webgen::date::Day;
 use wi_webgen::tasks::WrapperTask;
 use wi_xpath::{parse_query, Query};
 
+/// A unique scratch directory for one run's persisted registry, tagged with
+/// the experiment's name.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the process id keeps concurrent experiment runs out of each other's temp directories"
+)]
+fn registry_scratch_dir(tag: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static COUNTER: AtomicUsize = AtomicUsize::new(0);
+    std::env::temp_dir().join(format!(
+        "wi-eval-{tag}-registry-{}-{}",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 /// The induction configuration the evaluation uses for a task: the paper's
 /// defaults, with text predicates restricted to template labels (Section 6.2
 /// excludes volatile data text).

@@ -88,17 +88,6 @@ impl ServeReport {
     }
 }
 
-/// A unique scratch directory for the run's registry.
-fn registry_scratch_dir() -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    std::env::temp_dir().join(format!(
-        "wi-eval-serve-registry-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 fn object(fields: Vec<(&str, JsonValue)>) -> JsonValue {
     JsonValue::Object(
         fields
@@ -124,7 +113,7 @@ fn served_tasks(scale: &Scale) -> Vec<WrapperTask> {
 
 /// Runs the experiment.
 pub fn run(scale: &Scale) -> ServeReport {
-    let scratch = registry_scratch_dir();
+    let scratch = super::registry_scratch_dir("serve");
     let _ = std::fs::remove_dir_all(&scratch);
     let registry = PersistentRegistry::create(&scratch, REGISTRY_SHARDS)
         .expect("scratch registry directory is writable");

@@ -27,6 +27,9 @@
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
+// The clippy.toml contracts minus its type bans: this crate drives the
+// daemon over sockets.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod experiments;
 pub mod report;

@@ -26,7 +26,6 @@
 //! [`PersistentRegistry::open`]: super::PersistentRegistry::open
 //! [`PersistentRegistry::recover`]: super::PersistentRegistry::recover
 
-// lint:allow-file(R6, the pid-stamped advisory lock is this module's whole job — it reads and records std::process::id)
 use super::log::RegistryError;
 use super::shard::sync_dir;
 use std::io::Write as _;
@@ -47,6 +46,10 @@ pub(crate) struct ShardLock {
 impl ShardLock {
     /// Acquires the lock at `path`, failing with [`RegistryError::Locked`]
     /// when another live process holds it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the pid stamp is this lock's whole job, and the lock file's create_new is paired with the sync_dir of its parent below"
+    )]
     pub(crate) fn acquire(path: PathBuf) -> Result<ShardLock, RegistryError> {
         for _ in 0..MAX_ATTEMPTS {
             match std::fs::OpenOptions::new()

@@ -742,4 +742,49 @@ mod tests {
         assert_eq!(lkg, advanced);
         let _ = std::fs::remove_dir_all(&root);
     }
+
+    /// `parse_json` refuses nesting past 128 levels.  The deepest JSON the
+    /// registry writes, an lkg line with anchor carriers, and the bundle
+    /// objects its revision lines reference must parse back unchanged.
+    #[test]
+    fn the_deepest_json_the_registry_writes_parses_unchanged() {
+        fn depth(value: &JsonValue) -> usize {
+            match value {
+                JsonValue::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+                JsonValue::Object(members) => {
+                    1 + members.iter().map(|(_, v)| depth(v)).max().unwrap_or(0)
+                }
+                _ => 0,
+            }
+        }
+        let b = bundle();
+        let pretty = b.to_json_string();
+        let parsed = parse_json(&pretty).unwrap();
+        assert_eq!(parsed.to_pretty(), pretty);
+        assert_eq!(depth(&parsed), 3, "bundle → wrappers → entry");
+
+        let doc = wi_dom::Document::parse(
+            r#"<body><div class="blk"><p class="x">a</p><p class="x">b</p></div></body>"#,
+        )
+        .unwrap();
+        let lkg = LastKnownGood::capture_for(&b, &doc, 0, &doc.elements_by_class("x"));
+        assert!(!lkg.anchor_carriers.is_empty());
+        let (root, store) = temp_store("depth");
+        let line = encode_record(
+            &LogRecord::Lkg {
+                site: "s".into(),
+                lkg,
+            },
+            &store,
+        )
+        .unwrap();
+        let parsed = parse_json(line.trim_end_matches('\n')).unwrap();
+        assert_eq!(format!("{}\n", parsed.to_compact()), line);
+        assert_eq!(
+            depth(&parsed),
+            6,
+            "envelope → record → lkg → anchor_carriers → carrier → neighborhood"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

@@ -32,8 +32,11 @@
 //!
 //! **Durability**: every rename and file creation in this directory tree is
 //! followed by an fsync of the parent directory (`sync_dir`), so a crash
-//! after a committed rename cannot resurrect the old directory entry (the
-//! rule is machine-checked as wi-lint R9).
+//! after a committed rename cannot resurrect the old directory entry.
+//! clippy.toml bans `fs::rename`, `File::create` and
+//! `OpenOptions::create_new` in library code, so each such site carries an
+//! `#[expect(clippy::disallowed_methods)]` on a function that also calls
+//! `sync_dir`.
 
 use super::log::{decode_line, LogRecord, RegistryError};
 use super::objects::ObjectStore;
@@ -133,7 +136,7 @@ pub(crate) fn root_manifest_path(root: &Path) -> PathBuf {
 /// durable.  A rename that is fsynced only at the file level can still be
 /// lost when the crash takes the directory block with it; every
 /// rename/create site in `registry/` therefore pairs with a `sync_dir` of
-/// the parent (wi-lint R9 enforces the pairing).
+/// the parent (see the durability note in the module docs).
 pub(crate) fn sync_dir(dir: &Path) -> Result<(), RegistryError> {
     let handle = std::fs::File::open(dir).map_err(|e| RegistryError::io(dir, e))?;
     handle.sync_all().map_err(|e| RegistryError::io(dir, e))
@@ -143,6 +146,10 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<(), RegistryError> {
 /// full and fsynced, then renamed over the target, then the parent
 /// directory entry is fsynced — so a crash leaves either the old or the new
 /// content, never a torn mix, and the committed rename survives power loss.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the temp file's creation and its rename are paired with the sync_dir of the parent below"
+)]
 pub(crate) fn write_atomic(path: &Path, text: &str) -> Result<(), RegistryError> {
     let tmp = path.with_extension("tmp");
     let mut file = std::fs::File::create(&tmp).map_err(|e| RegistryError::io(&tmp, e))?;
@@ -160,6 +167,10 @@ pub(crate) fn write_atomic(path: &Path, text: &str) -> Result<(), RegistryError>
 /// Creates a fresh, empty segment and makes its directory entry durable.
 /// Rotation calls this *before* switching appends over, so a crash between
 /// the two leaves only a harmless empty segment behind.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the segment's creation is paired with the sync_dir of its shard directory below"
+)]
 pub(crate) fn create_segment(root: &Path, shard: usize, id: u64) -> Result<(), RegistryError> {
     let path = segment_path(root, shard, id);
     let file = std::fs::File::create(&path).map_err(|e| RegistryError::io(&path, e))?;

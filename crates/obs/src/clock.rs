@@ -1,9 +1,9 @@
 //! The monotonic process clock every observability record is anchored to.
 //!
-//! Wall-clock time (`SystemTime::now`) is banned outside the serve layer by
-//! wi-lint R6 because it makes replay non-deterministic.  Observability
-//! records therefore carry *monotonic offsets*: microseconds since a
-//! process-wide [`Instant`] anchor captured on first use.  Offsets are
+//! Wall-clock time (`SystemTime::now`) is banned in library code by the
+//! workspace `clippy.toml` because it makes replay non-deterministic.
+//! Observability records therefore carry *monotonic offsets*: microseconds
+//! since a process-wide [`Instant`] anchor captured on first use.  Offsets are
 //! totally ordered within a process, immune to NTP steps, and cheap to
 //! subtract; they are meaningless across processes, which is fine for a
 //! per-daemon introspection surface.

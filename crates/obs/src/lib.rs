@@ -45,6 +45,8 @@
 //! is proven by the concurrency test in [`journal`].
 
 #![deny(missing_docs)]
+// The workspace contracts listed in clippy.toml.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod clock;
 pub mod journal;

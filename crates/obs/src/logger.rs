@@ -10,7 +10,7 @@
 //!
 //! * `level` — `info`/`warn`/`error`,
 //! * `off_us` — monotonic offset since the process anchor (no wall
-//!   clock: wi-lint R6 bans `SystemTime::now` here),
+//!   clock: the workspace `clippy.toml` bans `SystemTime::now` here),
 //! * `event` — a static dotted name,
 //! * then caller fields in order, `key=value`, values containing
 //!   whitespace or `"` rendered as a quoted string.

@@ -34,6 +34,8 @@
 //! `tests/serve_daemon.rs` in the workspace root proves exactly that.
 
 #![deny(missing_docs)]
+// The clippy.toml contracts minus its type bans: this crate owns sockets.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 // A panic in a worker kills its connection and can poison the registry
 // lock, so non-test code turns every failure into a typed 4xx/5xx
 // response.  A bounds proof that the compiler cannot see is an

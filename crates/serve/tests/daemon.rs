@@ -365,6 +365,34 @@ fn rejected_request_reply_survives_the_unread_body() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+#[test]
+fn deeply_nested_json_body_is_a_400_not_a_crash() {
+    let (root, handle) = start_daemon("deep-json", "127.0.0.1:0");
+    let addr = handle.addr();
+
+    // A million open brackets used to overflow the worker's stack inside
+    // the recursive JSON parser, which aborted the whole daemon.
+    let body = "[".repeat(1_000_000);
+    let reply = client::post(
+        addr,
+        "/maintain/some-site",
+        "application/json",
+        body.as_bytes(),
+    )
+    .expect("deep body");
+    assert_eq!(reply.status, 400, "reply: {}", reply.text());
+    assert!(reply.text().contains("nesting"), "reply: {}", reply.text());
+
+    // Every client call opens its own connection: the daemon is still up.
+    assert_eq!(client::get(addr, "/healthz").expect("healthz").status, 200);
+
+    handle.shutdown();
+    let registry = wait_within_deadline(handle);
+    assert!(!registry.is_poisoned());
+    drop(registry);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Runs `handle.wait()` on a thread and fails the test if it does not
 /// return within five seconds.  The acceptor blocks in `accept`, so a
 /// shutdown path that forgets to wake it hangs `wait` forever; this turns

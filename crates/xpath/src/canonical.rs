@@ -60,6 +60,10 @@ pub fn c_changes(snapshots: &[(&Document, NodeId)]) -> usize {
     let mut canon = canonical_path(ref_doc, ref_node);
     let _ = ref_doc;
     for &(doc, target) in &snapshots[1..] {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the c-change metric evaluates one canonical path per snapshot, off any serving path"
+        )]
         let selected = evaluate(&canon, doc, doc.root());
         if selected != vec![target] {
             changes += 1;
@@ -74,6 +78,10 @@ pub fn c_changes(snapshots: &[(&Document, NodeId)]) -> usize {
 /// Counts c-changes for a *set* of target nodes per snapshot (multi-node
 /// wrappers): a change is counted when the canonical path of **any** tracked
 /// target stops selecting exactly that target.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the c-change metric evaluates one canonical path per target and snapshot, off any serving path"
+)]
 pub fn c_changes_multi(snapshots: &[(&Document, Vec<NodeId>)]) -> usize {
     if snapshots.len() < 2 {
         return 0;

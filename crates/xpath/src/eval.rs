@@ -371,6 +371,10 @@ pub fn selects_exactly(
     context: NodeId,
     expected: &[NodeId],
 ) -> bool {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a one-shot check of a single query; this is the defining crate"
+    )]
     let mut result = evaluate(query, doc, context);
     let mut expected: Vec<NodeId> = expected.to_vec();
     result.sort_unstable();

@@ -67,6 +67,8 @@
 //!   [`induction::BundleError`]) instead of `Option`s and panics.
 
 #![deny(missing_docs)]
+// The workspace contracts listed in clippy.toml.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 /// Baseline inducers (`wi-baselines`).
 pub use wi_baselines as baselines;
