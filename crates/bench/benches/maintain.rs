@@ -65,10 +65,7 @@ fn build_workload(sites: u64, epochs: i64) -> (Registry, Vec<MaintenanceJob>, us
 /// from-scratch baseline the equivalence battery compares against).
 fn full_maintainer() -> Maintainer {
     Maintainer::new(
-        MaintainConfig {
-            incremental: false,
-            ..MaintainConfig::default()
-        },
+        MaintainConfig { incremental: false },
         WrapperInducer::default(),
     )
 }

@@ -15,7 +15,7 @@
 //! forms of each epoch's verdict and of the seed and final last-known-good
 //! states.
 
-use wi_induction::{EnsembleConfig, Sample, WrapperBundle, WrapperEnsemble, WrapperInducer};
+use wi_induction::{Sample, WrapperBundle, WrapperEnsemble, WrapperInducer};
 use wi_maintain::{LastKnownGood, Maintainer, MaintenanceLog, PageVersion};
 use wi_scoring::{QueryInstance, ScoringParams};
 use wi_webgen::archive::ArchiveSimulator;
@@ -88,7 +88,7 @@ fn bundles(task: &WrapperTask) -> Vec<WrapperBundle> {
                 .with_label(task.id()),
         );
     }
-    let ensemble = WrapperEnsemble::induce_single(&doc, &targets, &EnsembleConfig::default());
+    let ensemble = WrapperEnsemble::induce_single(&doc, &targets);
     if !ensemble.is_empty() {
         assert_round_trips(task, &ensemble.members);
         bundles.push(

@@ -84,10 +84,7 @@ fn incremental_replay_is_not_slower_than_from_scratch() {
     assert!(pages > 0, "workload induced no jobs");
     let incremental = Maintainer::default();
     let full = Maintainer::new(
-        MaintainConfig {
-            incremental: false,
-            ..MaintainConfig::default()
-        },
+        MaintainConfig { incremental: false },
         WrapperInducer::default(),
     );
 

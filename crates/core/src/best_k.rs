@@ -146,11 +146,6 @@ impl BestK {
         self.items.iter()
     }
 
-    /// Consumes the table and returns the ranked instances, best first.
-    pub fn into_vec(self) -> Vec<QueryInstance> {
-        self.items
-    }
-
     /// Returns the ranked instances as a cloned vector, best first.
     pub fn to_vec(&self) -> Vec<QueryInstance> {
         self.items.clone()

@@ -513,7 +513,6 @@ fn params_from_json(value: &JsonValue) -> Result<ScoringParams, BundleError> {
 mod tests {
     use super::*;
     use crate::api::WrapperInducer;
-    use crate::ensemble::EnsembleConfig;
     use wi_dom::parse_html;
 
     const PAGE: &str = r#"<body>
@@ -556,7 +555,7 @@ mod tests {
     fn ensemble_bundle_round_trips_and_votes() {
         let doc = parse_html(PAGE).unwrap();
         let t = target(&doc);
-        let ensemble = WrapperEnsemble::induce_single(&doc, &[t], &EnsembleConfig::default());
+        let ensemble = WrapperEnsemble::induce_single(&doc, &[t]);
         assert!(ensemble.len() >= 2);
         let bundle = WrapperBundle::from_ensemble(&ensemble, ScoringParams::paper_defaults());
         let reloaded = WrapperBundle::from_json_str(&bundle.to_json_string()).unwrap();
@@ -643,6 +642,32 @@ mod tests {
             WrapperBundle::from_json_str(&bad_expr),
             Err(BundleError::Query(_))
         ));
+    }
+
+    #[test]
+    fn deeply_nested_expression_is_a_query_error() {
+        let levels = 10_000;
+        let expression = format!(
+            "{}descendant::a{}",
+            "descendant::a[".repeat(levels),
+            "]".repeat(levels)
+        );
+        let json = format!(
+            "{{\"format\": \"{BUNDLE_FORMAT}\", \"version\": 1, \"params\": {}, \"wrappers\": [{{\"expression\": \"{expression}\", \"tp\": 1, \"fp\": 0, \"fne\": 0}}]}}",
+            params_to_json(&ScoringParams::paper_defaults()).to_pretty()
+        );
+        let decoded = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                matches!(
+                    WrapperBundle::from_json_str(&json),
+                    Err(BundleError::Query(_))
+                )
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(decoded);
     }
 
     #[test]

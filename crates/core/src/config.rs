@@ -44,27 +44,10 @@ pub struct InductionConfig {
     pub params: ScoringParams,
     /// Policy for text-content predicates.
     pub text_policy: TextPolicy,
-    /// Maximum length of a string constant taken from text content.
-    pub max_text_len: usize,
-    /// Maximum number of distinct single words from a text value that are
-    /// turned into `contains(., w)` candidates.
-    pub max_text_words: usize,
-    /// Maximum number of single words from a multi-word attribute value that
-    /// are turned into `contains(@a, w)` candidates.
-    pub max_attr_words: usize,
-    /// How many element siblings on each side of a spine node are considered
-    /// as sources of sideways checks (Algorithm 1, child-axis case).
-    pub max_sideways_siblings: usize,
     /// Whether sideways checks are generated at all.  Disabling them is an
     /// ablation: the paper argues the sibling axes are essential for
     /// multi-target wrappers (Section 6.3).
     pub enable_sideways: bool,
-    /// Attributes that are never used in predicates (volatile, auto-generated
-    /// values such as inline styles or session ids).
-    pub ignored_attributes: Vec<String>,
-    /// Upper bound on the positional index generated by accuracy refinement;
-    /// larger indices are considered too fragile to be worth a candidate.
-    pub max_position: u32,
 }
 
 impl Default for InductionConfig {
@@ -73,13 +56,7 @@ impl Default for InductionConfig {
             k: 10,
             params: ScoringParams::paper_defaults(),
             text_policy: TextPolicy::Allow,
-            max_text_len: 60,
-            max_text_words: 3,
-            max_attr_words: 3,
-            max_sideways_siblings: 3,
             enable_sideways: true,
-            ignored_attributes: vec!["style".to_string(), "onclick".to_string()],
-            max_position: 50,
         }
     }
 }
@@ -108,11 +85,6 @@ impl InductionConfig {
         self.enable_sideways = enabled;
         self
     }
-
-    /// Returns `true` if the given attribute may appear in predicates.
-    pub fn attribute_allowed(&self, name: &str) -> bool {
-        !self.ignored_attributes.iter().any(|a| a == name)
-    }
 }
 
 #[cfg(test)]
@@ -125,8 +97,6 @@ mod tests {
         assert_eq!(c.k, 10);
         assert_eq!(c.params.decay, 2.5);
         assert!(c.enable_sideways);
-        assert!(c.attribute_allowed("class"));
-        assert!(!c.attribute_allowed("style"));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! 2. members are picked greedily so that each new member relies on
 //!    selection *means* (attributes, string constants, tags, axes, positions)
 //!    that overlap as little as possible with the members picked so far
-//!    ([`QueryFeatures`] / [`EnsembleConfig::max_overlap`]),
+//!    ([`QueryFeatures`], at most `MAX_OVERLAP` while diverse candidates last),
 //! 3. the resulting [`WrapperEnsemble`] extracts nodes by majority vote
 //!    (or union / intersection) and exposes an [`agreement`] signal that a
 //!    wrapper-maintenance pipeline can monitor: full agreement on the
@@ -135,46 +135,16 @@ impl QueryFeatures {
     }
 }
 
-/// Configuration of [`WrapperEnsemble::induce`].
-#[derive(Debug, Clone)]
-pub struct EnsembleConfig {
-    /// Desired number of member wrappers.
-    pub size: usize,
-    /// Maximum pairwise feature overlap tolerated between members while
-    /// diverse candidates are available (members above this threshold are
-    /// only used to fill up the ensemble when nothing better exists).
-    pub max_overlap: f64,
-    /// How many ranked instances are induced as the candidate pool.
-    pub candidate_pool: usize,
-    /// Minimum F0.5 (relative to the top-ranked instance) a candidate must
-    /// achieve to be eligible; guards against trading accuracy for diversity.
-    pub min_relative_f05: f64,
-}
+/// Number of member wrappers an induced ensemble aims for.
+const SIZE: usize = 3;
 
-impl Default for EnsembleConfig {
-    fn default() -> Self {
-        EnsembleConfig {
-            size: 3,
-            max_overlap: 0.34,
-            candidate_pool: 30,
-            min_relative_f05: 1.0,
-        }
-    }
-}
+/// Maximum pairwise feature overlap tolerated between members while diverse
+/// candidates are available (members above this threshold are only used to
+/// fill up the ensemble when nothing better exists).
+const MAX_OVERLAP: f64 = 0.34;
 
-impl EnsembleConfig {
-    /// Returns a config with a different ensemble size.
-    pub fn with_size(mut self, size: usize) -> Self {
-        self.size = size.max(1);
-        self
-    }
-
-    /// Returns a config with a different overlap threshold.
-    pub fn with_max_overlap(mut self, max_overlap: f64) -> Self {
-        self.max_overlap = max_overlap.clamp(0.0, 1.0);
-        self
-    }
-}
+/// How many ranked instances are induced as the candidate pool.
+const CANDIDATE_POOL: usize = 30;
 
 /// An ensemble of wrappers that select the same target through independent
 /// means.
@@ -195,42 +165,40 @@ impl WrapperEnsemble {
     ///
     /// The induction runs once with a widened best-K bound (the candidate
     /// pool); members are then selected greedily by feature diversity.
-    pub fn induce(
-        samples: &[Sample<'_>],
-        induction: &InductionConfig,
-        config: &EnsembleConfig,
-    ) -> Self {
-        let pool_k = induction.k.max(config.candidate_pool);
+    pub fn induce(samples: &[Sample<'_>], induction: &InductionConfig) -> Self {
+        let pool_k = induction.k.max(CANDIDATE_POOL);
         let pool_config = induction.clone().with_k(pool_k);
         let pool = induce(samples, &pool_config);
-        Self::select_members(pool, config)
+        Self::select_members(pool)
     }
 
     /// Induces an ensemble from a single annotated page (context = root).
-    pub fn induce_single(doc: &Document, targets: &[NodeId], config: &EnsembleConfig) -> Self {
+    pub fn induce_single(doc: &Document, targets: &[NodeId]) -> Self {
         let sample = Sample::from_root(doc, targets);
-        Self::induce(&[sample], &InductionConfig::default(), config)
+        Self::induce(&[sample], &InductionConfig::default())
     }
 
-    /// Greedy diverse-member selection from a ranked candidate pool.
-    fn select_members(pool: Vec<QueryInstance>, config: &EnsembleConfig) -> Self {
+    /// Greedy diverse-member selection from a ranked candidate pool.  Only
+    /// candidates as accurate as the top-ranked instance (equal F0.5) are
+    /// eligible: diversity is never traded for accuracy.
+    fn select_members(pool: Vec<QueryInstance>) -> Self {
         let Some(best) = pool.first() else {
             return WrapperEnsemble::default();
         };
-        let f05_floor = best.f05() * config.min_relative_f05 - 1e-9;
+        let f05_floor = best.f05() - 1e-9;
         let eligible: Vec<&QueryInstance> = pool.iter().filter(|q| q.f05() >= f05_floor).collect();
 
-        let mut members: Vec<QueryInstance> = Vec::with_capacity(config.size);
-        let mut member_features: Vec<QueryFeatures> = Vec::with_capacity(config.size);
+        let mut members: Vec<QueryInstance> = Vec::with_capacity(SIZE);
+        let mut member_features: Vec<QueryFeatures> = Vec::with_capacity(SIZE);
         // Pass 1: enforce the overlap threshold.
         for candidate in &eligible {
-            if members.len() >= config.size {
+            if members.len() >= SIZE {
                 break;
             }
             let features = QueryFeatures::of(&candidate.query);
             let diverse = member_features
                 .iter()
-                .all(|existing| existing.overlap(&features) <= config.max_overlap);
+                .all(|existing| existing.overlap(&features) <= MAX_OVERLAP);
             if diverse {
                 members.push((*candidate).clone());
                 member_features.push(features);
@@ -238,10 +206,10 @@ impl WrapperEnsemble {
         }
         // Pass 2: fill up with the best remaining candidates (distinct
         // expressions only) if the pool did not contain enough diversity.
-        if members.len() < config.size {
+        if members.len() < SIZE {
             let taken: BTreeSet<String> = members.iter().map(|m| m.query.to_string()).collect();
             for candidate in &eligible {
-                if members.len() >= config.size {
+                if members.len() >= SIZE {
                     break;
                 }
                 if !taken.contains(&candidate.query.to_string()) {
@@ -494,7 +462,7 @@ mod tests {
     fn induced_ensemble_members_are_exact_and_distinct() {
         let doc = parse_html(MOVIE_PAGE).unwrap();
         let target = director_span(&doc);
-        let ensemble = WrapperEnsemble::induce_single(&doc, &[target], &EnsembleConfig::default());
+        let ensemble = WrapperEnsemble::induce_single(&doc, &[target]);
         assert!(
             ensemble.len() >= 2,
             "expected ≥2 members, got {:?}",
@@ -521,8 +489,7 @@ mod tests {
     fn induced_members_use_diverse_features_when_available() {
         let doc = parse_html(MOVIE_PAGE).unwrap();
         let target = director_span(&doc);
-        let config = EnsembleConfig::default().with_size(3);
-        let ensemble = WrapperEnsemble::induce_single(&doc, &[target], &config);
+        let ensemble = WrapperEnsemble::induce_single(&doc, &[target]);
         assert!(ensemble.len() >= 2);
         let features: Vec<QueryFeatures> = ensemble
             .members
@@ -532,7 +499,7 @@ mod tests {
         // At least the first two members must respect the diversity
         // threshold (pass 1 always places them when any diverse pair exists).
         assert!(
-            features[0].overlap(&features[1]) <= config.max_overlap,
+            features[0].overlap(&features[1]) <= MAX_OVERLAP,
             "first two members overlap too much: {:?}",
             ensemble.expressions()
         );
@@ -618,15 +585,8 @@ mod tests {
         .unwrap();
         let targets = doc.elements_by_class("title");
         assert_eq!(targets.len(), 3);
-        let ensemble = WrapperEnsemble::induce_single(&doc, &targets, &EnsembleConfig::default());
+        let ensemble = WrapperEnsemble::induce_single(&doc, &targets);
         assert!(!ensemble.is_empty());
         assert_eq!(ensemble.extract_majority(&doc), targets);
-    }
-
-    #[test]
-    fn config_builders_clamp_inputs() {
-        let config = EnsembleConfig::default().with_size(0).with_max_overlap(7.0);
-        assert_eq!(config.size, 1);
-        assert_eq!(config.max_overlap, 1.0);
     }
 }

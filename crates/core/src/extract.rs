@@ -242,11 +242,7 @@ mod tests {
         assert_eq!(wrapper.extract_root(&doc).unwrap(), targets);
         assert!(!wrapper.describe().is_empty());
 
-        let ensemble = WrapperEnsemble::induce_single(
-            &doc,
-            &targets,
-            &crate::ensemble::EnsembleConfig::default(),
-        );
+        let ensemble = WrapperEnsemble::induce_single(&doc, &targets);
         assert_eq!(ensemble.extract_root(&doc).unwrap(), targets);
         assert!(ensemble.describe().contains(" | ") || ensemble.len() == 1);
     }

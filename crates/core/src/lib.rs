@@ -77,7 +77,7 @@ pub use api::{Wrapper, WrapperInducer};
 pub use best_k::BestK;
 pub use bundle::{BundleEntry, WrapperBundle, BUNDLE_FORMAT_VERSION};
 pub use config::InductionConfig;
-pub use ensemble::{EnsembleConfig, QueryFeatures, WrapperEnsemble};
+pub use ensemble::{QueryFeatures, WrapperEnsemble};
 pub use error::{BundleError, ExtractError, InduceError};
 pub use extract::Extractor;
 pub use induce::induce;

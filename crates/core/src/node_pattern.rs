@@ -15,6 +15,21 @@ use crate::config::InductionConfig;
 use wi_dom::{Document, NodeId, NodeKind};
 use wi_xpath::{NodeTest, Predicate, StringFunction};
 
+/// Maximum length of a string constant taken from text content.
+const MAX_TEXT_LEN: usize = 60;
+
+/// Maximum number of distinct single words from a text value that are turned
+/// into `contains(., w)` candidates.
+const MAX_TEXT_WORDS: usize = 3;
+
+/// Maximum number of single words from a multi-word attribute value that are
+/// turned into `contains(@a, w)` candidates.
+const MAX_ATTR_WORDS: usize = 3;
+
+/// Attributes that are never used in predicates (volatile, auto-generated
+/// values such as inline styles or event handlers).
+const IGNORED_ATTRIBUTES: [&str; 2] = ["style", "onclick"];
+
 /// An axis-less candidate pattern: a node test plus at most one comparison
 /// predicate (a positional predicate may be appended later).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +89,7 @@ pub fn node_patterns(doc: &Document, node: NodeId, config: &InductionConfig) -> 
     // Attribute comparisons: full value equality, plus per-word contains for
     // multi-word values (class lists and the like).
     for attr in doc.attributes(node) {
-        if !config.attribute_allowed(&attr.name) {
+        if IGNORED_ATTRIBUTES.contains(&attr.name.as_str()) {
             continue;
         }
         if attr.value.is_empty() {
@@ -92,7 +107,7 @@ pub fn node_patterns(doc: &Document, node: NodeId, config: &InductionConfig) -> 
         ));
         let words: Vec<&str> = attr.value.split_whitespace().collect();
         if words.len() > 1 {
-            for w in words.into_iter().take(config.max_attr_words) {
+            for w in words.into_iter().take(MAX_ATTR_WORDS) {
                 patterns.push(NodePattern::with(
                     NodeTest::tag(tag.clone()),
                     Predicate::StringCompare {
@@ -122,17 +137,14 @@ fn text_predicates(doc: &Document, node: NodeId, config: &InductionConfig) -> Ve
     }
     let mut out = Vec::new();
     let mut push = |func: StringFunction, value: String| {
-        if !value.is_empty()
-            && value.len() <= config.max_text_len
-            && config.text_policy.allows(&value)
-        {
+        if !value.is_empty() && value.len() <= MAX_TEXT_LEN && config.text_policy.allows(&value) {
             out.push(Predicate::text_fn(func, value));
         }
     };
 
     // Full value equality (only for reasonably short texts, typically
     // template labels like "Director:" or "Country").
-    if text.len() <= config.max_text_len {
+    if text.len() <= MAX_TEXT_LEN {
         push(StringFunction::Equals, text.to_owned());
     }
 
@@ -150,7 +162,7 @@ fn text_predicates(doc: &Document, node: NodeId, config: &InductionConfig) -> Ve
     // contains(., w) for a few single words.
     let mut used = 0usize;
     for w in text.split_whitespace() {
-        if used >= config.max_text_words {
+        if used >= MAX_TEXT_WORDS {
             break;
         }
         if w.len() < 3 {

@@ -30,6 +30,7 @@ use crate::config::InductionConfig;
 use crate::node_pattern::{node_patterns, NodePattern};
 use crate::sample::Sample;
 use crate::spine::{common_base_axis, spine, transitive_reach};
+use crate::step_pattern::{MAX_POSITION, MAX_SIDEWAYS_SIBLINGS};
 use std::collections::HashMap;
 use wi_dom::document::normalize_space;
 use wi_dom::{Document, NodeId};
@@ -387,7 +388,7 @@ fn step_patterns_reference(
 
     if axis == Axis::Child && config.enable_sideways {
         let same_role = same_role_group(doc, t);
-        for (s, sideways_axis) in sideways_sources(doc, t, config) {
+        for (s, sideways_axis) in sideways_sources(doc, t) {
             let side_steps = sideways_steps(doc, s, t, sideways_axis, config);
             if side_steps.is_empty() {
                 continue;
@@ -460,7 +461,7 @@ fn pattern_matches(doc: &Document, pattern: &NodePattern, node: NodeId) -> bool 
     evaluate_step_reference(&probe, doc, node) == vec![node]
 }
 
-fn sideways_sources(doc: &Document, t: NodeId, config: &InductionConfig) -> Vec<(NodeId, Axis)> {
+fn sideways_sources(doc: &Document, t: NodeId) -> Vec<(NodeId, Axis)> {
     let mut sources = Vec::new();
     let same_role = |s: NodeId| {
         doc.tag_name(s) == doc.tag_name(t) && doc.attribute(s, "class") == doc.attribute(t, "class")
@@ -473,14 +474,14 @@ fn sideways_sources(doc: &Document, t: NodeId, config: &InductionConfig) -> Vec<
     for s in doc
         .preceding_siblings(t)
         .filter(|&s| interesting(s))
-        .take(config.max_sideways_siblings)
+        .take(MAX_SIDEWAYS_SIBLINGS)
     {
         sources.push((s, Axis::FollowingSibling));
     }
     for s in doc
         .following_siblings(t)
         .filter(|&s| interesting(s))
-        .take(config.max_sideways_siblings)
+        .take(MAX_SIDEWAYS_SIBLINGS)
     {
         sources.push((s, Axis::PrecedingSibling));
     }
@@ -507,7 +508,7 @@ fn sideways_steps(
         }
         out.push(step.clone());
         if selected != vec![t] {
-            if let Some(refined) = refine_with_position(&step, &selected, t, config) {
+            if let Some(refined) = refine_with_position(&step, &selected, t) {
                 out.push(refined);
             }
         }
@@ -515,14 +516,9 @@ fn sideways_steps(
     dedup_steps(out)
 }
 
-fn refine_with_position(
-    step: &Step,
-    selected: &[NodeId],
-    target: NodeId,
-    config: &InductionConfig,
-) -> Option<Step> {
+fn refine_with_position(step: &Step, selected: &[NodeId], target: NodeId) -> Option<Step> {
     let pos = selected.iter().position(|&x| x == target)? + 1;
-    if pos as u32 > config.max_position {
+    if pos as u32 > MAX_POSITION {
         return None;
     }
     let mut refined = step.clone();
@@ -578,7 +574,7 @@ fn select_candidates_reference(
         }
         consider(query.clone(), &result, &mut scored);
         if result.len() > 1 {
-            if let Some(refined) = refine_first_step_reference(doc, n, t, &query, config) {
+            if let Some(refined) = refine_first_step_reference(doc, n, t, &query) {
                 let refined_result = evaluate_reference(&refined, doc, n);
                 if refined_result.contains(&t) {
                     consider(refined, &refined_result, &mut scored);
@@ -637,7 +633,6 @@ fn refine_first_step_reference(
     n: NodeId,
     t: NodeId,
     query: &Query,
-    config: &InductionConfig,
 ) -> Option<Query> {
     let first = query.steps.first()?;
     if first.predicates.iter().any(Predicate::is_positional) {
@@ -660,7 +655,7 @@ fn refine_first_step_reference(
     } else {
         *first_selection.iter().find(|c| lead_to_t(c))?
     };
-    let refined_first = refine_with_position(first, &first_selection, target_in_first, config)?;
+    let refined_first = refine_with_position(first, &first_selection, target_in_first)?;
     let mut steps = query.steps.clone();
     steps[0] = refined_first;
     Some(Query {

@@ -29,6 +29,14 @@ use wi_scoring::{score_query, Counts, ScoringParams};
 use wi_xpath::eval::evaluate_step;
 use wi_xpath::{Axis, Predicate, PrefixEvaluator, Query, Step};
 
+/// How many element siblings on each side of a spine node are considered as
+/// sources of sideways checks (Algorithm 1, child-axis case).
+pub(crate) const MAX_SIDEWAYS_SIBLINGS: usize = 3;
+
+/// Upper bound on the positional index generated by accuracy refinement;
+/// larger indices are considered too fragile to be worth a candidate.
+pub(crate) const MAX_POSITION: u32 = 50;
+
 /// A generated candidate with everything about it that does not depend on
 /// the context node: its render, the render's hash and its robustness
 /// score, each computed once per target.
@@ -143,7 +151,7 @@ pub(crate) fn generate_parts(
     let mut sideways = Vec::new();
     if axis == Axis::Child && config.enable_sideways {
         let same_role = same_role_group(doc, t);
-        for (s, sideways_axis) in sideways_sources(doc, t, config) {
+        for (s, sideways_axis) in sideways_sources(doc, t) {
             // The step from s to t along the sideways axis, refined to be
             // unique from s.
             let side_steps = sideways_steps(doc, s, t, sideways_axis, config);
@@ -265,7 +273,7 @@ fn pattern_matches(doc: &Document, pattern: &NodePattern, node: NodeId) -> bool 
 /// same-role sibling would make the wrapper depend on volatile data nodes
 /// and would let noisy samples pull the induction towards contiguous-subset
 /// queries instead of generalising over the whole list.
-fn sideways_sources(doc: &Document, t: NodeId, config: &InductionConfig) -> Vec<(NodeId, Axis)> {
+fn sideways_sources(doc: &Document, t: NodeId) -> Vec<(NodeId, Axis)> {
     let mut sources = Vec::new();
     let same_role = |s: NodeId| {
         doc.tag_name(s) == doc.tag_name(t) && doc.attribute(s, "class") == doc.attribute(t, "class")
@@ -278,7 +286,7 @@ fn sideways_sources(doc: &Document, t: NodeId, config: &InductionConfig) -> Vec<
     for s in doc
         .preceding_siblings(t)
         .filter(|&s| interesting(s))
-        .take(config.max_sideways_siblings)
+        .take(MAX_SIDEWAYS_SIBLINGS)
     {
         // s precedes t, so from s we reach t via following-sibling.
         sources.push((s, Axis::FollowingSibling));
@@ -286,7 +294,7 @@ fn sideways_sources(doc: &Document, t: NodeId, config: &InductionConfig) -> Vec<
     for s in doc
         .following_siblings(t)
         .filter(|&s| interesting(s))
-        .take(config.max_sideways_siblings)
+        .take(MAX_SIDEWAYS_SIBLINGS)
     {
         sources.push((s, Axis::PrecedingSibling));
     }
@@ -317,7 +325,7 @@ fn sideways_steps(
         }
         out.push(step.clone());
         if selected != vec![t] {
-            if let Some(refined) = refine_with_position(&step, &selected, t, config) {
+            if let Some(refined) = refine_with_position(&step, &selected, t) {
                 out.push(refined);
             }
         }
@@ -328,14 +336,9 @@ fn sideways_steps(
 /// Appends a positional predicate to `step` so that it selects the candidate
 /// at `target`'s position; also produces a `last()`-relative variant when the
 /// target is close to the end of the candidate list.
-fn refine_with_position(
-    step: &Step,
-    selected: &[NodeId],
-    target: NodeId,
-    config: &InductionConfig,
-) -> Option<Step> {
+fn refine_with_position(step: &Step, selected: &[NodeId], target: NodeId) -> Option<Step> {
     let pos = selected.iter().position(|&x| x == target)? + 1;
-    if pos as u32 > config.max_position {
+    if pos as u32 > MAX_POSITION {
         return None;
     }
     let mut refined = step.clone();
@@ -454,7 +457,7 @@ pub(crate) fn select_candidates(
             // sideways patterns that step selects the sibling source, so we
             // refine by the position of whichever first-step candidate leads
             // to t.
-            if let Some(refined) = refine_first_step(eval, n, t, &cand.query, &ambiguous, config) {
+            if let Some(refined) = refine_first_step(eval, n, t, &cand.query, &ambiguous) {
                 let refined_result = eval.evaluate_from(from_n, &refined);
                 if refined_result.contains(&t) {
                     let counts = counts_against_target(refined_result, t);
@@ -557,7 +560,6 @@ fn refine_first_step(
     t: NodeId,
     query: &Query,
     query_result: &[NodeId],
-    config: &InductionConfig,
 ) -> Option<Query> {
     let doc = eval.doc();
     let first = query.steps.first()?;
@@ -598,7 +600,7 @@ fn refine_first_step(
             .copied()
             .find(|&candidate| eval.evaluate(candidate, &rest).contains(&t))?
     };
-    let refined_first = refine_with_position(first, first_selection, target_in_first, config)?;
+    let refined_first = refine_with_position(first, first_selection, target_in_first)?;
     let mut steps = query.steps.clone();
     steps[0] = refined_first;
     Some(Query {

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use wi_dom::{Document, DocumentBuilder, NodeId};
-use wi_induction::{EnsembleConfig, Extractor, InductionConfig, WrapperEnsemble, WrapperInducer};
+use wi_induction::{Extractor, InductionConfig, WrapperEnsemble, WrapperInducer};
 use wi_scoring::rank_order;
 use wi_xpath::{evaluate, is_ds_xpath, is_plausible};
 
@@ -223,11 +223,7 @@ proptest! {
     #[test]
     fn ensembles_agree_with_single_wrappers_on_clean_lists(n in 2usize..7) {
         let (doc, targets) = list_page(n);
-        let ensemble = WrapperEnsemble::induce_single(
-            &doc,
-            &targets,
-            &EnsembleConfig::default().with_size(3),
-        );
+        let ensemble = WrapperEnsemble::induce_single(&doc, &targets);
         prop_assert!(!ensemble.is_empty());
         prop_assert_eq!(ensemble.extract_majority(&doc), targets);
         prop_assert_eq!(ensemble.agreement(&doc), 1.0);

@@ -89,11 +89,6 @@ impl AttrIndex {
     pub fn values(&self) -> &Arc<BTreeSet<String>> {
         &self.values
     }
-
-    /// Number of distinct `(name, value)` carrier keys in the document.
-    pub fn carrier_key_count(&self) -> usize {
-        self.carriers.len()
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use crate::scale::Scale;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use wi_dom::Document;
-use wi_induction::{EnsembleConfig, WrapperEnsemble, WrapperInducer};
+use wi_induction::{WrapperEnsemble, WrapperInducer};
 use wi_webgen::archive::ArchiveSimulator;
 use wi_webgen::datasets::single_node_tasks;
 use wi_webgen::date::Day;
@@ -48,7 +48,7 @@ pub fn run(scale: &Scale) -> Vec<BatchResult> {
     let wrapper = inducer
         .try_induce_best(&doc, &targets)
         .expect("induction succeeds on the induction snapshot");
-    let ensemble = WrapperEnsemble::induce_single(&doc, &targets, &EnsembleConfig::default());
+    let ensemble = WrapperEnsemble::induce_single(&doc, &targets);
     let canonical = wi_baselines::CanonicalWrapper::induce(&doc, &targets);
 
     // Materialise the archive snapshots as one owned document batch.

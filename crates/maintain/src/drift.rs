@@ -23,7 +23,7 @@
 //! template label texts or attribute values — vanished from the page) from
 //! an unknown break.
 
-use crate::verify::{HealthReport, LastKnownGood};
+use crate::verify::{HealthReport, HealthSignal, LastKnownGood};
 use serde::{Deserialize, Serialize};
 use wi_dom::{Document, NodeId};
 use wi_induction::WrapperBundle;
@@ -162,45 +162,21 @@ impl DriftReport {
     }
 }
 
-/// Tuning knobs for classification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DriftConfig {
-    /// Maximum substitutions per expression (a redesign renames several
-    /// anchors at once).
-    pub max_fixes: usize,
-    /// Maximum candidate values tried per relaxed predicate.
-    pub max_candidates: usize,
-    /// Total evaluation budget of one entry's fix search.
-    pub search_budget: usize,
-    /// Allowed relative count drift when validating a fix against the
-    /// last-known-good count (multi-node wrappers).
-    pub cardinality_slack: f64,
-}
+/// Maximum substitutions per expression (a redesign renames several anchors
+/// at once).
+const MAX_FIXES: usize = 4;
 
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig {
-            max_fixes: 4,
-            max_candidates: 6,
-            search_budget: 96,
-            cardinality_slack: 0.5,
-        }
-    }
-}
+/// Maximum candidate values tried per relaxed predicate.
+const MAX_CANDIDATES: usize = 6;
+
+/// Total evaluation budget of one entry's fix search.
+const SEARCH_BUDGET: usize = 96;
 
 /// Classifies flagged wrappers onto break groups.
 #[derive(Debug, Clone, Default)]
-pub struct DriftClassifier {
-    /// The classification bounds.
-    pub config: DriftConfig,
-}
+pub struct DriftClassifier;
 
 impl DriftClassifier {
-    /// Creates a classifier with explicit bounds.
-    pub fn new(config: DriftConfig) -> DriftClassifier {
-        DriftClassifier { config }
-    }
-
     /// Classifies one flagged snapshot.
     ///
     /// All full-expression probes and prefix walks of the fix search run
@@ -227,11 +203,7 @@ impl DriftClassifier {
         let mut prefix = PrefixEvaluator::new(doc);
         let mut entries = Vec::new();
         for (entry_idx, query) in bundle.entries.iter().map(|e| &e.query).enumerate() {
-            let search = Search {
-                doc,
-                lkg,
-                config: &self.config,
-            };
+            let search = Search { doc, lkg };
             let acceptable = {
                 let initial = prefix.evaluate(doc.root(), query);
                 search.acceptable(initial)
@@ -241,7 +213,7 @@ impl DriftClassifier {
             } else {
                 let mut candidate = query.clone();
                 let mut fixes = Vec::new();
-                let mut budget = self.config.search_budget;
+                let mut budget = SEARCH_BUDGET;
                 if search.run(&mut prefix, &mut candidate, &mut fixes, &mut budget, 0) {
                     (Some(candidate), fixes)
                 } else {
@@ -366,7 +338,6 @@ fn neighborhood_gone(query: &Query, doc: &Document, lkg: Option<&LastKnownGood>)
 struct Search<'a> {
     doc: &'a Document,
     lkg: Option<&'a LastKnownGood>,
-    config: &'a DriftConfig,
 }
 
 impl Search<'_> {
@@ -381,22 +352,23 @@ impl Search<'_> {
         let Some(lkg) = self.lkg else {
             return true;
         };
-        let cardinality_ok = if lkg.count <= 1 {
-            result.len() == lkg.count.max(1)
-        } else {
-            let slack = (lkg.count as f64 * self.config.cardinality_slack).max(1.0);
-            (result.len() as f64 - lkg.count as f64).abs() <= slack && result.len() >= 2
-        };
-        if !cardinality_ok {
-            return false;
-        }
-        let mut tags: Vec<String> = result
+        let drifted = lkg
+            .structural_drift(self.doc, result)
             .iter()
-            .filter_map(|&n| self.doc.tag_name(n).map(str::to_string))
-            .collect();
-        tags.sort();
-        tags.dedup();
-        if tags != lkg.tags {
+            .any(|signal| match signal {
+                // The one place the two judgments differ: against a state
+                // that recorded zero nodes the verifier flags every
+                // extraction, while a fix landing on a single node is
+                // accepted here.  The loop never captures such a state (it
+                // captures healthy, hence non-empty, extractions), but a
+                // caller-supplied seed or a hand-built state can hold one.
+                HealthSignal::CardinalityDrift {
+                    expected: 0,
+                    got: 1,
+                } => false,
+                _ => true,
+            });
+        if drifted {
             return false;
         }
         // Evidently template-stable targets must be reproduced *verbatim*: a
@@ -441,7 +413,7 @@ impl Search<'_> {
         if acceptable {
             return true;
         }
-        if depth >= self.config.max_fixes {
+        if depth >= MAX_FIXES {
             return false;
         }
 
@@ -653,7 +625,7 @@ impl Search<'_> {
                 usize::MAX - overlap(v),
             )
         });
-        values.truncate(self.config.max_candidates);
+        values.truncate(MAX_CANDIDATES);
         values
     }
 
@@ -676,7 +648,7 @@ impl Search<'_> {
             .unwrap_or(0) as u32;
         let mut positions: Vec<u32> = (1..=max_len).filter(|&p| p != from).collect();
         positions.sort_by_key(|&p| (p.abs_diff(from), p));
-        positions.truncate(self.config.max_candidates);
+        positions.truncate(MAX_CANDIDATES);
         positions
     }
 }
@@ -712,10 +684,10 @@ mod tests {
         evolved: &Document,
     ) -> DriftReport {
         let lkg = LastKnownGood::capture(healthy_doc, 0, healthy_targets);
-        let verifier = Verifier::default();
+        let verifier = Verifier;
         let health = verifier.check(bundle, evolved, 20, Some(&lkg));
         assert!(!health.healthy(), "evolved page should break the wrapper");
-        DriftClassifier::default().classify(bundle, evolved, 20, Some(&lkg), &health)
+        DriftClassifier.classify(bundle, evolved, 20, Some(&lkg), &health)
     }
 
     #[test]
@@ -832,6 +804,48 @@ mod tests {
     }
 
     #[test]
+    fn verifier_and_fix_search_share_the_cardinality_slack_edge() {
+        let page = |n: usize| {
+            let items: String = (0..n)
+                .map(|i| format!(r#"<span class="p">{i}</span>"#))
+                .collect();
+            Document::parse(&format!(
+                r#"<html><body><div id="main"><h4>Prices:</h4>{items}</div>
+                   <div id="side"><ul><li>a</li><li>b</li><li>c</li><li>d</li></ul></div>
+                   </body></html>"#
+            ))
+            .unwrap()
+        };
+        let v1 = page(4);
+        let targets = v1.elements_by_class("p");
+        let bundle = bundle_for(&v1, &targets);
+        // Four nodes: the slack is max(4 × 0.5, 1) = 2.
+        let lkg = LastKnownGood::capture(&v1, 0, &targets);
+        assert_eq!(lkg.count, 4);
+
+        let six = page(6);
+        let seven = page(7);
+        let health = |doc: &Document| Verifier.check(&bundle, doc, 20, Some(&lkg));
+        assert!(health(&six).healthy(), "{:?}", health(&six).signals);
+        assert!(health(&seven)
+            .signals
+            .contains(&HealthSignal::CardinalityDrift {
+                expected: 4,
+                got: 7
+            }));
+
+        let accepts = |doc: &Document| {
+            let search = Search {
+                doc,
+                lkg: Some(&lkg),
+            };
+            search.acceptable(&doc.elements_by_class("p"))
+        };
+        assert!(accepts(&six));
+        assert!(!accepts(&seven));
+    }
+
+    #[test]
     fn broken_capture_is_classified_as_page_broken() {
         let v1 = Document::parse(
             r#"<body><div id="main"><h4>Label:</h4><span class="v">x</span></div>
@@ -842,8 +856,8 @@ mod tests {
         let bundle = bundle_for(&v1, &targets);
         let lkg = LastKnownGood::capture(&v1, 0, &targets);
         let broken = Document::parse("<html><body><p>gone</p></body></html>").unwrap();
-        let health = Verifier::default().check(&bundle, &broken, 20, Some(&lkg));
-        let report = DriftClassifier::default().classify(&bundle, &broken, 20, Some(&lkg), &health);
+        let health = Verifier.check(&bundle, &broken, 20, Some(&lkg));
+        let report = DriftClassifier.classify(&bundle, &broken, 20, Some(&lkg), &health);
         assert_eq!(report.class, DriftClass::PageBroken);
         assert!(report.entries.is_empty());
     }

@@ -99,11 +99,9 @@ impl IncrementalState {
     /// synthesized order is the computed order.  The equivalence battery
     /// (`tests/incremental_equivalence.rs`) pins all of this against the
     /// from-scratch loop.  Any other snapshot is verified in full.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn verify(
         &mut self,
         cx: &mut EvalContext,
-        verifier: &Verifier,
         bundle: &WrapperBundle,
         doc: &Document,
         doc_fp: u64,
@@ -129,7 +127,7 @@ impl IncrementalState {
             }
         }
         self.stats.misses += 1;
-        verifier.check_with(cx, bundle, doc, day, lkg)
+        Verifier.check_with(cx, bundle, doc, day, lkg)
     }
 
     /// Whether the live last-known-good state was captured against a

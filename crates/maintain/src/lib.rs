@@ -72,7 +72,7 @@
 //!   evolution (paper break group (e)); the wrapper, its revision and its
 //!   last-known-good state all pass through unchanged.
 //! * **Diminishing targets retire, they do not thrash.**  After
-//!   `retire_after` consecutive failed repairs whose drift class is
+//!   two consecutive failed repairs whose drift class is
 //!   [`DriftClass::TargetRemoved`], the wrapper is retired: verification
 //!   continues (it may recover if the target reappears) but no further
 //!   repairs are attempted.
@@ -133,7 +133,7 @@ pub mod verify;
 use wi_dom::Document;
 // Re-exported so downstream code and the doc examples can name every piece
 // of the loop from one crate.
-pub use drift::{DriftClass, DriftClassifier, DriftConfig, DriftReport, FixKind, QueryFix};
+pub use drift::{DriftClass, DriftClassifier, DriftReport, FixKind, QueryFix};
 pub use lifecycle::{EpochOutcome, MaintainConfig, Maintainer, MaintenanceLog, WrapperState};
 pub use registry::{
     shard_of, CompactionPolicy, CompactionStats, Durability, LogRecord, MaintenanceJob,
@@ -141,7 +141,7 @@ pub use registry::{
     ShardStats, SnapshotStats, TornTail, VersionRecord,
 };
 pub use repair::{RepairAction, Repairer};
-pub use verify::{HealthReport, HealthSignal, LastKnownGood, Verifier, VerifyConfig};
+pub use verify::{HealthReport, HealthSignal, LastKnownGood, Verifier};
 pub use wi_induction::{WrapperBundle, WrapperInducer};
 
 /// One version of a page in an archive timeline: the day it was captured and

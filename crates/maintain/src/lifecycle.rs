@@ -9,7 +9,7 @@
 //!        └───────────────────┐              │ repair failed
 //!                            │              ▼
 //!                        Degraded ◄─────────┘
-//!                            │ `retire_after` consecutive failures,
+//!                            │ `RETIRE_AFTER` (2) consecutive failures,
 //!                            │ drift class TargetRemoved
 //!                            ▼
 //!                         Retired  (still verified, never repaired)
@@ -19,10 +19,10 @@
 //! its last-known-good pass through unchanged (see the repair-policy
 //! contract in the crate docs).
 
-use crate::drift::{DriftClass, DriftClassifier, DriftConfig, DriftReport};
+use crate::drift::{DriftClass, DriftClassifier, DriftReport};
 use crate::incremental::IncrementalState;
 use crate::repair::{RepairAction, Repairer};
-use crate::verify::{HealthReport, LastKnownGood, Verifier, VerifyConfig};
+use crate::verify::{HealthReport, LastKnownGood, Verifier};
 use crate::PageVersion;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -118,16 +118,13 @@ impl MaintenanceLog {
     }
 }
 
+/// Consecutive failed repairs with drift class [`DriftClass::TargetRemoved`]
+/// before the wrapper retires.
+const RETIRE_AFTER: usize = 2;
+
 /// Configuration of the whole loop.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MaintainConfig {
-    /// Verification thresholds.
-    pub verify: VerifyConfig,
-    /// Classification bounds.
-    pub drift: DriftConfig,
-    /// Consecutive failed repairs with drift class
-    /// [`DriftClass::TargetRemoved`] before the wrapper retires.
-    pub retire_after: usize,
     /// Enables the epoch echo (the `incremental` module): a snapshot
     /// identical to the last healthy one under the same bundle revision
     /// replays that epoch's verdict, and its last-known-good state rolls
@@ -141,12 +138,7 @@ pub struct MaintainConfig {
 
 impl Default for MaintainConfig {
     fn default() -> Self {
-        MaintainConfig {
-            verify: VerifyConfig::default(),
-            drift: DriftConfig::default(),
-            retire_after: 2,
-            incremental: true,
-        }
+        MaintainConfig { incremental: true }
     }
 }
 
@@ -214,10 +206,6 @@ impl Maintainer {
         seed_state: WrapperState,
         seed_target_gone_streak: u32,
     ) -> MaintenanceLog {
-        let verifier = Verifier::new(self.config.verify.clone());
-        let classifier = DriftClassifier::new(self.config.drift.clone());
-        let repairer = Repairer::new(verifier.clone());
-
         let run_started = Instant::now();
         let mut inc = self.config.incremental.then(IncrementalState::new);
 
@@ -236,16 +224,10 @@ impl Maintainer {
             let verify_started = Instant::now();
             let doc_fp = inc.as_ref().map(|_| page.doc.content_hash());
             let health = match (inc.as_mut(), doc_fp) {
-                (Some(state), Some(fp)) => state.verify(
-                    cx,
-                    &verifier,
-                    &bundle,
-                    &page.doc,
-                    fp,
-                    page.day,
-                    lkg.as_ref(),
-                ),
-                _ => verifier.check_with(cx, &bundle, &page.doc, page.day, lkg.as_ref()),
+                (Some(state), Some(fp)) => {
+                    state.verify(cx, &bundle, &page.doc, fp, page.day, lkg.as_ref())
+                }
+                _ => Verifier.check_with(cx, &bundle, &page.doc, page.day, lkg.as_ref()),
             };
             obs.verify_latency_us.observe_us(verify_started.elapsed());
 
@@ -316,7 +298,7 @@ impl Maintainer {
             // Flagged: classify, then (unless retired) try to repair.
             let classify_started = Instant::now();
             let drift: DriftReport =
-                classifier.classify(&bundle, &page.doc, page.day, lkg.as_ref(), &health);
+                DriftClassifier.classify(&bundle, &page.doc, page.day, lkg.as_ref(), &health);
             obs.classify_latency_us
                 .observe_us(classify_started.elapsed());
             obs.drift_counter(drift.class).inc();
@@ -326,7 +308,7 @@ impl Maintainer {
 
             if state != WrapperState::Retired {
                 let repair_started = Instant::now();
-                let repair_outcome = repairer.repair_with(
+                let repair_outcome = Repairer.repair_with(
                     cx,
                     &bundle,
                     &page.doc,
@@ -370,7 +352,7 @@ impl Maintainer {
                         } else {
                             consecutive_target_gone = 0;
                         }
-                        state = if consecutive_target_gone >= self.config.retire_after {
+                        state = if consecutive_target_gone >= RETIRE_AFTER {
                             WrapperState::Retired
                         } else {
                             WrapperState::Degraded

@@ -906,15 +906,10 @@ impl PersistentRegistry {
         self.durability
     }
 
-    /// Switches the durability mode (see [`Durability`]).  Switching from
-    /// [`Batch`](Durability::Batch) back to [`Always`](Durability::Always)
-    /// does not retroactively flush earlier relaxed appends — call
-    /// [`sync`](PersistentRegistry::sync) for that.
-    pub fn set_durability(&mut self, durability: Durability) {
-        self.durability = durability;
-    }
-
-    /// Builder form of [`set_durability`](PersistentRegistry::set_durability).
+    /// Returns the registry with a different durability mode (see
+    /// [`Durability`]).  Switching from [`Batch`](Durability::Batch) back to
+    /// [`Always`](Durability::Always) does not retroactively flush earlier
+    /// relaxed appends — call [`sync`](PersistentRegistry::sync) for that.
     pub fn with_durability(mut self, durability: Durability) -> Self {
         self.durability = durability;
         self

@@ -54,20 +54,12 @@ pub struct RepairOutcome {
     pub extracted: Vec<NodeId>,
 }
 
-/// Repairs flagged bundles: re-anchoring first, then re-induction.
+/// Repairs flagged bundles: re-anchoring first, then re-induction.  Every
+/// candidate is validated by a [`Verifier`] against the breaking snapshot.
 #[derive(Debug, Clone, Default)]
-pub struct Repairer {
-    /// Validates candidate repairs against the breaking snapshot.
-    pub verifier: Verifier,
-}
+pub struct Repairer;
 
 impl Repairer {
-    /// Creates a repairer whose validation uses the given verifier's
-    /// thresholds.
-    pub fn new(verifier: Verifier) -> Repairer {
-        Repairer { verifier }
-    }
-
     /// Attempts to repair `bundle` against the snapshot that exposed the
     /// break, allocating a fresh evaluation context.
     pub fn repair(
@@ -199,7 +191,7 @@ impl Repairer {
         lkg: Option<&LastKnownGood>,
         action: RepairAction,
     ) -> Option<RepairOutcome> {
-        let report = self.verifier.check_with(cx, &candidate, doc, day, lkg);
+        let report = Verifier.check_with(cx, &candidate, doc, day, lkg);
         if !report.healthy() {
             return None;
         }
@@ -233,11 +225,11 @@ mod tests {
     ) -> Option<(WrapperBundle, RepairOutcome)> {
         let bundle = induce(v1, targets);
         let lkg = LastKnownGood::capture(v1, 0, targets);
-        let verifier = Verifier::default();
+        let verifier = Verifier;
         let health = verifier.check(&bundle, v2, 20, Some(&lkg));
         assert!(!health.healthy());
-        let drift = DriftClassifier::default().classify(&bundle, v2, 20, Some(&lkg), &health);
-        Repairer::default()
+        let drift = DriftClassifier.classify(&bundle, v2, 20, Some(&lkg), &health);
+        Repairer
             .repair(
                 &bundle,
                 v2,

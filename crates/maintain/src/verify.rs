@@ -91,17 +91,11 @@ pub struct AnchorCarrier {
 impl LastKnownGood {
     /// Captures the last-known-good state from a healthy extraction.
     pub fn capture(doc: &Document, day: i64, nodes: &[NodeId]) -> LastKnownGood {
-        let mut tags: Vec<String> = nodes
-            .iter()
-            .filter_map(|&n| doc.tag_name(n).map(str::to_string))
-            .collect();
-        tags.sort();
-        tags.dedup();
         LastKnownGood {
             day,
             count: nodes.len(),
             texts: nodes.iter().map(|&n| doc.normalized_text(n)).collect(),
-            tags,
+            tags: sorted_tags(doc, nodes),
             doc_elements: doc.element_count(),
             rotates: false,
             stable_observations: 0,
@@ -215,6 +209,53 @@ impl LastKnownGood {
             .iter()
             .find(|c| c.attribute == attribute && c.value == value)
     }
+
+    /// The cardinality and shape signals a non-empty extraction raises
+    /// against this state, in that order: [`HealthSignal::CardinalityDrift`]
+    /// when the node count left its tolerance, and
+    /// [`HealthSignal::ShapeDivergence`] when the sorted tag set differs.
+    ///
+    /// A state of at most one node must be reproduced with exactly `count`
+    /// nodes.  A multi-node state tolerates a drift of half its count (at
+    /// least one node): lists legitimately gain and lose entries, but one
+    /// collapsing to a single node has almost certainly latched onto the
+    /// wrong neighborhood.  The verifier and the drift classifier's fix
+    /// search both judge extractions by this rule.
+    pub(crate) fn structural_drift(&self, doc: &Document, nodes: &[NodeId]) -> Vec<HealthSignal> {
+        let mut signals = Vec::new();
+        let got = nodes.len();
+        let drifted = if self.count <= 1 {
+            got != self.count
+        } else {
+            let slack = (self.count as f64 * CARDINALITY_SLACK).max(1.0);
+            (got as f64 - self.count as f64).abs() > slack || got < 2
+        };
+        if drifted {
+            signals.push(HealthSignal::CardinalityDrift {
+                expected: self.count,
+                got,
+            });
+        }
+        let tags = sorted_tags(doc, nodes);
+        if tags != self.tags {
+            signals.push(HealthSignal::ShapeDivergence {
+                expected: self.tags.clone(),
+                got: tags,
+            });
+        }
+        signals
+    }
+}
+
+/// The sorted, deduplicated tag names of `nodes`.
+fn sorted_tags(doc: &Document, nodes: &[NodeId]) -> Vec<String> {
+    let mut tags: Vec<String> = nodes
+        .iter()
+        .filter_map(|&n| doc.tag_name(n).map(str::to_string))
+        .collect();
+    tags.sort();
+    tags.dedup();
+    tags
 }
 
 /// How many elements of `doc` carry `value` under attribute `attribute`.
@@ -419,43 +460,23 @@ impl HealthReport {
     }
 }
 
-/// Tuning knobs for verification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct VerifyConfig {
-    /// A snapshot with fewer elements than this is a broken capture even
-    /// without a baseline.
-    pub min_page_elements: usize,
-    /// A snapshot with fewer than `ratio × baseline` elements is a broken
-    /// capture.
-    pub broken_page_ratio: f64,
-    /// Allowed relative count drift for multi-node wrappers (single-node
-    /// wrappers must keep extracting exactly one node).
-    pub cardinality_slack: f64,
-}
+/// A snapshot with fewer elements than this is a broken capture even without
+/// a baseline.
+const MIN_PAGE_ELEMENTS: usize = 8;
 
-impl Default for VerifyConfig {
-    fn default() -> Self {
-        VerifyConfig {
-            min_page_elements: 8,
-            broken_page_ratio: 0.1,
-            cardinality_slack: 0.5,
-        }
-    }
-}
+/// A snapshot with fewer than this fraction of the last healthy snapshot's
+/// elements is a broken capture.
+const BROKEN_PAGE_RATIO: f64 = 0.1;
+
+/// Allowed relative count drift for multi-node wrappers (single-node
+/// wrappers must keep extracting exactly one node).
+const CARDINALITY_SLACK: f64 = 0.5;
 
 /// Replays bundles against snapshots and reports extraction health.
 #[derive(Debug, Clone, Default)]
-pub struct Verifier {
-    /// The verification thresholds.
-    pub config: VerifyConfig,
-}
+pub struct Verifier;
 
 impl Verifier {
-    /// Creates a verifier with explicit thresholds.
-    pub fn new(config: VerifyConfig) -> Verifier {
-        Verifier { config }
-    }
-
     /// Checks one snapshot, allocating a fresh evaluation context.
     pub fn check(
         &self,
@@ -482,8 +503,8 @@ impl Verifier {
         // Broken capture first: nothing below is meaningful on one.
         let elements = doc.element_count();
         let baseline = lkg.map(|l| l.doc_elements).unwrap_or(0);
-        let floor = (baseline as f64 * self.config.broken_page_ratio).ceil() as usize;
-        if elements < self.config.min_page_elements || (baseline > 0 && elements < floor) {
+        let floor = (baseline as f64 * BROKEN_PAGE_RATIO).ceil() as usize;
+        if elements < MIN_PAGE_ELEMENTS || (baseline > 0 && elements < floor) {
             signals.push(HealthSignal::BrokenPage { elements, baseline });
             return HealthReport {
                 day,
@@ -507,36 +528,7 @@ impl Verifier {
         if extracted.is_empty() {
             signals.push(HealthSignal::EmptyResult);
         } else if let Some(lkg) = lkg {
-            let got = extracted.len();
-            let drifted = if lkg.count <= 1 {
-                got != lkg.count
-            } else {
-                // Lists legitimately gain/lose entries (length churn), but a
-                // multi-node wrapper collapsing to a single node has almost
-                // certainly latched onto the wrong neighborhood.
-                let slack = (lkg.count as f64 * self.config.cardinality_slack).max(1.0);
-                (got as f64 - lkg.count as f64).abs() > slack || got < 2
-            };
-            if drifted {
-                signals.push(HealthSignal::CardinalityDrift {
-                    expected: lkg.count,
-                    got,
-                });
-            }
-
-            let mut tags: Vec<String> = extracted
-                .iter()
-                .filter_map(|&n| doc.tag_name(n).map(str::to_string))
-                .collect();
-            tags.sort();
-            tags.dedup();
-            if tags != lkg.tags {
-                signals.push(HealthSignal::ShapeDivergence {
-                    expected: lkg.tags.clone(),
-                    got: tags,
-                });
-            }
-
+            signals.extend(lkg.structural_drift(doc, &extracted));
             signals.push(HealthSignal::TextDivergence {
                 similarity: text_similarity(
                     &lkg.texts,
@@ -758,7 +750,7 @@ mod tests {
         let doc = page("p", &["10", "20"]);
         let targets = doc.elements_by_class("p");
         let bundle = induce_bundle(&doc, &targets);
-        let verifier = Verifier::default();
+        let verifier = Verifier;
         let report = verifier.check(&bundle, &doc, 0, None);
         assert!(report.healthy());
         assert_eq!(report.extracted, targets);
@@ -785,7 +777,7 @@ mod tests {
         let lkg = LastKnownGood::capture(&doc, 0, &targets);
 
         let renamed = page("price", &["10", "20"]);
-        let report = Verifier::default().check(&bundle, &renamed, 20, Some(&lkg));
+        let report = Verifier.check(&bundle, &renamed, 20, Some(&lkg));
         assert!(!report.healthy());
         assert!(report.signals.contains(&HealthSignal::EmptyResult));
         assert!(report
@@ -805,7 +797,7 @@ mod tests {
         let broken =
             Document::parse("<html><body><p>Page cannot be crawled or displayed</p></body></html>")
                 .unwrap();
-        let report = Verifier::default().check(&bundle, &broken, 40, Some(&lkg));
+        let report = Verifier.check(&bundle, &broken, 40, Some(&lkg));
         assert!(!report.healthy());
         assert!(report.page_broken());
     }
@@ -816,7 +808,7 @@ mod tests {
         let targets = doc.elements_by_class("p");
         let bundle = induce_bundle(&doc, &targets);
         let lkg = LastKnownGood::capture(&doc, 0, &targets);
-        let verifier = Verifier::default();
+        let verifier = Verifier;
 
         // Dropping one of four items stays within the multi-node slack …
         let fewer = page("p", &["10", "20", "30"]);

@@ -20,11 +20,7 @@ use wi_webgen::style::Vertical;
 use wi_webgen::tasks::{TargetRole, WrapperTask};
 
 fn maintainer(incremental: bool) -> Maintainer {
-    let config = MaintainConfig {
-        incremental,
-        ..MaintainConfig::default()
-    };
-    Maintainer::new(config, WrapperInducer::default())
+    Maintainer::new(MaintainConfig { incremental }, WrapperInducer::default())
 }
 
 fn cache_hits_total() -> u64 {

@@ -277,11 +277,6 @@ pub fn set_slow_threshold_us(us: u64) {
     SLOW_THRESHOLD_US.store(us, Ordering::Relaxed);
 }
 
-/// The current slow-log threshold (µs).
-pub fn slow_threshold_us() -> u64 {
-    SLOW_THRESHOLD_US.load(Ordering::Relaxed)
-}
-
 /// The top-K slowest spans (duration ≥ threshold), slowest first.
 pub fn slow_top() -> Vec<Record> {
     SLOW.lock().map(|s| s.clone()).unwrap_or_default()

@@ -10,7 +10,6 @@
 
 use crate::noise::noise_stats;
 use crate::site::{PageKind, PageView, Site};
-use crate::tasks::TargetRole;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -41,19 +40,6 @@ impl EntityKind {
         EntityKind::Location,
         EntityKind::Organisation,
     ];
-
-    /// The list-column role whose nodes carry this entity on a listing page.
-    pub fn list_role(self) -> TargetRole {
-        match self {
-            EntityKind::Person => TargetRole::ListPersons,
-            EntityKind::Money => TargetRole::ListPrices,
-            // Dates, locations and organisations are carried by the same
-            // item rows; we use the date column as their anchor nodes.
-            EntityKind::Date | EntityKind::Location | EntityKind::Organisation => {
-                TargetRole::ListPersons
-            }
-        }
-    }
 }
 
 /// Error behaviour of the simulated recogniser.

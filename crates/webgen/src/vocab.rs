@@ -243,11 +243,6 @@ impl ValueGen {
         pool[self.rng.random_range(0..pool.len())]
     }
 
-    /// A random integer in a range.
-    pub fn int(&mut self, range: std::ops::Range<u32>) -> u32 {
-        self.rng.random_range(range)
-    }
-
     /// A person name ("First Last").
     pub fn person(&mut self) -> String {
         format!("{} {}", self.pick(FIRST_NAMES), self.pick(LAST_NAMES))

@@ -371,11 +371,6 @@ impl Step {
         self.predicates.push(p);
         self
     }
-
-    /// Returns `true` if the step has at least one predicate.
-    pub fn has_predicates(&self) -> bool {
-        !self.predicates.is_empty()
-    }
 }
 
 impl fmt::Display for Step {

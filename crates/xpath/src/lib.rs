@@ -44,7 +44,6 @@
 
 pub mod ast;
 pub mod canonical;
-pub mod dsl;
 pub mod eval;
 pub mod eval_reference;
 pub mod fragment;
@@ -53,7 +52,6 @@ pub mod prefix;
 
 pub use ast::{Axis, NodeTest, Predicate, Query, Step, StringFunction, TextSource};
 pub use canonical::{c_changes, canonical_path, canonical_step};
-pub use dsl::{step, QueryBuilder};
 pub use eval::{evaluate, evaluate_with, evaluate_with_anchors, EvalContext, EvalOutput};
 pub use eval_reference::evaluate_reference;
 pub use fragment::{is_ds_xpath, is_one_directional, is_plausible, Direction};

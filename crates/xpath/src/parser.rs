@@ -36,12 +36,19 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a query string into a [`Query`].
+/// How deeply path predicates may nest (`a[b[c]]` nests two levels).  The
+/// parser, the evaluator and `Drop` all recurse once per level, so an
+/// unbounded depth read from a bundle file could overflow a thread's stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a query string into a [`Query`].  Path predicates nested more than
+/// 128 levels deep are an error.
 pub fn parse_query(input: &str) -> Result<Query, ParseError> {
     let mut p = Parser {
         input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let q = p.parse_query()?;
     p.skip_ws();
@@ -55,6 +62,8 @@ struct Parser<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Path predicates currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -345,7 +354,14 @@ impl<'a> Parser<'a> {
                         // Nested relative path predicate: rewind and parse a
                         // full query until the matching ']'.
                         self.pos = start;
+                        if self.depth == MAX_DEPTH {
+                            return Err(self.err(format!(
+                                "path predicates nested deeper than {MAX_DEPTH} levels"
+                            )));
+                        }
+                        self.depth += 1;
                         let q = self.parse_query()?;
+                        self.depth -= 1;
                         Ok(Predicate::Path(q))
                     }
                 }
@@ -595,6 +611,31 @@ mod tests {
         assert!(parse_query("descendant::div[@id=\"unterminated]").is_err());
         assert!(parse_query("descendant::div]extra").is_err());
         assert!(parse_query("descendant::foo()").is_err());
+    }
+
+    #[test]
+    fn path_nesting_is_capped_at_max_depth() {
+        let nested = |levels: usize| {
+            format!(
+                "{}descendant::a{}",
+                "descendant::a[".repeat(levels),
+                "]".repeat(levels)
+            )
+        };
+        // A default worker-sized stack: an uncapped parse of 10,000 levels
+        // overflows it and aborts the process.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let deepest = parse_query(&nested(MAX_DEPTH)).unwrap();
+                assert_eq!(parse_query(&deepest.to_string()).unwrap(), deepest);
+                let err = parse_query(&nested(MAX_DEPTH + 1)).unwrap_err();
+                assert!(err.message.contains("nested"), "{err}");
+                assert!(parse_query(&nested(10_000)).is_err());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! cargo run --release --example ensemble_wrappers
 //! ```
 
-use wrapper_induction::induction::{EnsembleConfig, WrapperEnsemble};
+use wrapper_induction::induction::WrapperEnsemble;
 use wrapper_induction::prelude::*;
 use wrapper_induction::scoring::{calibrate, CalibrationConfig, SurvivalObservation};
 use wrapper_induction::webgen::{Day, PageKind, Site, TargetRole, Vertical, WrapperTask};
@@ -41,7 +41,7 @@ fn main() {
     for task in &tasks {
         println!("== {} ==", task.id());
         let (page, targets) = task.page_with_targets(Day(0));
-        let ensemble = WrapperEnsemble::induce_single(&page, &targets, &EnsembleConfig::default());
+        let ensemble = WrapperEnsemble::induce_single(&page, &targets);
 
         println!("ensemble members (independent selection means):");
         for (i, member) in ensemble.members.iter().enumerate() {

@@ -96,8 +96,8 @@ pub use wi_xpath as xpath;
 pub mod prelude {
     pub use wi_dom::{parse_html, to_html, Document, NodeId};
     pub use wi_induction::{
-        BundleError, EnsembleConfig, ExtractError, Extractor, InduceError, InductionConfig, Sample,
-        Wrapper, WrapperBundle, WrapperEnsemble, WrapperInducer,
+        BundleError, ExtractError, Extractor, InduceError, InductionConfig, Sample, Wrapper,
+        WrapperBundle, WrapperEnsemble, WrapperInducer,
     };
     pub use wi_maintain::{
         DriftClass, DriftClassifier, LastKnownGood, Maintainer, MaintenanceJob, PageVersion,

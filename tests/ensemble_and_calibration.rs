@@ -5,7 +5,7 @@
 
 use wrapper_induction::baselines::CanonicalWrapper;
 use wrapper_induction::eval::robustness::{run_robustness, Extractor};
-use wrapper_induction::induction::{EnsembleConfig, WrapperEnsemble};
+use wrapper_induction::induction::WrapperEnsemble;
 use wrapper_induction::prelude::*;
 use wrapper_induction::scoring::{
     calibrate, rank_agreement, CalibrationConfig, SurvivalObservation,
@@ -38,7 +38,7 @@ fn ensembles_extract_exactly_on_the_induction_snapshot() {
     for task in tasks() {
         let (doc, targets) = task.page_with_targets(Day(0));
         assert!(!targets.is_empty(), "{} has no targets", task.id());
-        let ensemble = WrapperEnsemble::induce_single(&doc, &targets, &EnsembleConfig::default());
+        let ensemble = WrapperEnsemble::induce_single(&doc, &targets);
         assert!(
             ensemble.len() >= 2,
             "{} produced only {:?}",
@@ -56,7 +56,7 @@ fn ensemble_majority_is_at_least_as_robust_as_the_canonical_baseline() {
     let mut canonical_days = 0i64;
     for task in tasks() {
         let (doc, targets) = task.page_with_targets(Day(0));
-        let ensemble = WrapperEnsemble::induce_single(&doc, &targets, &EnsembleConfig::default());
+        let ensemble = WrapperEnsemble::induce_single(&doc, &targets);
         let canonical = CanonicalWrapper::induce(&doc, &targets);
         // The ensemble is replayed directly: it implements `Extractor`.
         ensemble_days += run_robustness(&task, &ensemble, Day(0), Day(1200), 60).valid_days;
@@ -76,7 +76,7 @@ fn agreement_degrades_no_earlier_than_the_majority_breaks() {
     // the induction page.
     let task = tasks().remove(0);
     let (doc, targets) = task.page_with_targets(Day(0));
-    let ensemble = WrapperEnsemble::induce_single(&doc, &targets, &EnsembleConfig::default());
+    let ensemble = WrapperEnsemble::induce_single(&doc, &targets);
     for step in 0..8 {
         let day = Day(step * 120);
         let (snapshot, truth) = task.page_with_targets(day);

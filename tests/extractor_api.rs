@@ -29,7 +29,7 @@ fn every_wrapper_kind_extracts_through_the_unified_interface() {
     let induced = WrapperInducer::new(template_config(task, 5))
         .try_induce_best(&doc, &targets)
         .expect("induction succeeds");
-    let ensemble = WrapperEnsemble::induce_single(&doc, &targets, &EnsembleConfig::default());
+    let ensemble = WrapperEnsemble::induce_single(&doc, &targets);
     let canonical = CanonicalWrapper::induce(&doc, &targets);
     let devtools = DevtoolsWrapper::induce(&doc, &targets);
     let treeedit = TreeEditInducer::new(ChangeModel::default(), 5).induce_wrapper(&doc, &targets);
@@ -152,7 +152,7 @@ fn bundle_save_load_extracts_identically() {
 fn ensemble_bundle_round_trips() {
     let task = &datasets::multi_node_tasks(1)[0];
     let (doc, targets) = task.page_with_targets(Day(0));
-    let ensemble = WrapperEnsemble::induce_single(&doc, &targets, &EnsembleConfig::default());
+    let ensemble = WrapperEnsemble::induce_single(&doc, &targets);
     assert!(!ensemble.is_empty());
     let bundle = WrapperBundle::from_ensemble(&ensemble, ScoringParams::paper_defaults());
     let reloaded = WrapperBundle::from_json_str(&bundle.to_json_string())
